@@ -1,4 +1,5 @@
-//! Golden-digest pin for the parameter-server path.
+//! Golden-digest pins for the parameter-server path, on the flat fabric
+//! and on an oversubscribed multi-rack fabric.
 //!
 //! The engine decomposition (DESIGN.md §11) promised that splitting
 //! `ClusterSim` into layers would be behaviour-preserving: the PS path
@@ -12,6 +13,7 @@ use p3::cluster::{ClusterConfig, ClusterSim};
 use p3::core::SyncStrategy;
 use p3::models::{BlockKind, ComputeBlock, ModelSpec, ParamArray, SampleUnit};
 use p3::net::Bandwidth;
+use p3::topo::Topology;
 use p3::trace::export_trace_json;
 
 /// Digest of the exported trace for [`golden_config`], captured from the
@@ -24,6 +26,12 @@ const GOLDEN_TRACE_FNV: u64 = 0x425b_a9d2_bb57_3d7a;
 const GOLDEN_THROUGHPUT_BITS: u64 = 0x40a3_86b6_3905_ca76;
 /// Simulator events processed for the same run.
 const GOLDEN_EVENTS: u64 = 1639;
+
+/// Digest, throughput bits and event count of [`racks_config`]: the same
+/// run on 2 racks x 2 behind a 4:1 core. Its `WireEnd` records name each
+/// message's bottleneck link, so this pins the link-graph allocator's
+/// path order and bottleneck scan, which the flat run never exercises.
+const GOLDEN_RACKS: (u64, u64, u64) = (0x15fd_42c2_8c6c_52ca, 0x408f_f682_bbca_e045, 1472);
 
 /// Same skewed three-block model as `tests/determinism.rs`: fast to run
 /// in debug builds, still exercises slicing, priorities, and stalls.
@@ -66,6 +74,10 @@ fn golden_config() -> ClusterConfig {
     .with_slice_trace()
 }
 
+fn racks_config() -> ClusterConfig {
+    golden_config().with_topology(Topology::new(2, 2, 4.0))
+}
+
 fn fnv(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {
@@ -75,22 +87,41 @@ fn fnv(s: &str) -> u64 {
     h
 }
 
-#[test]
-fn ps_trace_digest_matches_pre_refactor_golden() {
-    let cfg = golden_config();
+/// Runs `cfg` traced and returns (exported trace, throughput bits, events).
+fn run_traced(cfg: ClusterConfig) -> (String, u64, u64) {
     let meta = cfg.trace_meta();
     let (result, log) = ClusterSim::new(cfg)
         .try_run_traced()
         .expect("golden config must run clean");
     let log = log.expect("slice tracing was enabled");
     let doc = export_trace_json(&log, &meta);
+    (doc, result.throughput.to_bits(), result.events)
+}
+
+#[test]
+fn ps_trace_digest_matches_pre_refactor_golden() {
+    let (doc, throughput_bits, events) = run_traced(golden_config());
     let digest = fnv(&doc);
     assert_eq!(
-        (digest, result.throughput.to_bits(), result.events),
+        (digest, throughput_bits, events),
         (GOLDEN_TRACE_FNV, GOLDEN_THROUGHPUT_BITS, GOLDEN_EVENTS),
         "PS-path trace diverged from the pre-refactor golden digest \
-         (got fnv={digest:#018x} throughput_bits={:#018x} events={})",
-        result.throughput.to_bits(),
-        result.events,
+         (got fnv={digest:#018x} throughput_bits={throughput_bits:#018x} events={events})",
+    );
+}
+
+#[test]
+fn racks_trace_digest_matches_golden() {
+    let (doc, throughput_bits, events) = run_traced(racks_config());
+    // Links 0..8 are the four machines' ports; 8..12 the racks' up and
+    // down links. The pin is only worth having if the core binds.
+    assert!(
+        (8..12).any(|l| doc.contains(&format!("\"bottleneck\": {l}}}"))),
+        "no message was bottlenecked on a core link"
+    );
+    let got = (fnv(&doc), throughput_bits, events);
+    assert_eq!(
+        got, GOLDEN_RACKS,
+        "multi-rack PS trace diverged from its golden digest (got {got:#018x?})",
     );
 }
