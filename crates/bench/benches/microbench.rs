@@ -7,7 +7,7 @@ use p3_compress::Dgc;
 use p3_core::{p3_plan, PrioQueue, SyncStrategy};
 use p3_des::SplitMix64;
 use p3_models::ModelSpec;
-use p3_net::{allocate_rates_capped, FlowSpec, Priority};
+use p3_net::{allocate_rates_on_graph, FlowSpec, LinkGraph, Priority};
 use p3_pserver::{Key, KvServer, Message, OptimizerKind, WorkerId};
 use p3_tensor::{Matrix, Mlp};
 
@@ -36,18 +36,24 @@ fn bench_allocator(c: &mut Criterion) {
     let mut g = c.benchmark_group("rate_allocator");
     for machines in [4usize, 16] {
         let mut rng = SplitMix64::new(7);
+        // Loopback-free: the destination is drawn among the other machines.
         let flows: Vec<FlowSpec> = (0..machines * 3)
-            .map(|_| FlowSpec {
-                src: rng.next_below(machines as u64) as usize,
-                dst: rng.next_below(machines as u64) as usize,
-                priority: Priority(rng.next_below(4) as u32),
+            .map(|_| {
+                let src = rng.next_below(machines as u64) as usize;
+                let hop = 1 + rng.next_below(machines as u64 - 1) as usize;
+                FlowSpec {
+                    src,
+                    dst: (src + hop) % machines,
+                    priority: Priority(rng.next_below(4) as u32),
+                }
             })
             .collect();
-        let caps = vec![1.25e9; machines];
+        // The flat fabric: an endpoint-only graph of 10 Gbps ports.
+        let graph = LinkGraph::new(&vec![1.25e9; machines]);
         g.bench_with_input(
             BenchmarkId::new("strict_priority_max_min", machines),
             &flows,
-            |b, flows| b.iter(|| allocate_rates_capped(flows, &caps, &caps, 1.2e8)),
+            |b, flows| b.iter(|| allocate_rates_on_graph(flows, &graph, graph.caps(), 1.2e8)),
         );
     }
     g.finish();

@@ -151,6 +151,21 @@ pub(crate) fn bad_value(flag: &'static str, value: &str, expected: &'static str)
     })
 }
 
+/// Checks one `--gbps` value. A negative, NaN or infinite rate would panic
+/// in `Bandwidth::from_gbps`, and a zero rate deadlocks the run, so only a
+/// positive rate that stays finite in bits/sec gets through.
+pub(crate) fn gbps_value(gbps: f64) -> Result<f64, CliError> {
+    if gbps > 0.0 && (gbps * 1e9).is_finite() {
+        Ok(gbps)
+    } else {
+        Err(bad_value(
+            "gbps",
+            &gbps.to_string(),
+            "positive finite number",
+        ))
+    }
+}
+
 /// Builds a [`FaultPlan`] from the fault-injection flags shared by
 /// `simulate` and `sweep`:
 ///
@@ -459,7 +474,7 @@ fn simulate(args: &Args) -> Result<String, CliError> {
     }
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
+    let gbps = gbps_value(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 8, "integer")?;
     let warmup: u64 = args.get_or("warmup", 2, "integer")?;
     let measure: u64 = args.get_or("measure", iters, "integer")?;
@@ -678,7 +693,7 @@ fn timeline(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
     let machines: usize = args.get_or("machines", 2, "integer")?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
+    let gbps = gbps_value(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 1, "integer")?;
     let width: usize = args.get_or("width", 72, "integer")?;
     if width == 0 {
@@ -754,7 +769,11 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let (topology, placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps = args.get_f64_list("gbps", &[1.0, 2.0, 4.0, 8.0, 16.0])?;
+    let gbps = args
+        .get_f64_list("gbps", &[1.0, 2.0, 4.0, 8.0, 16.0])?
+        .into_iter()
+        .map(gbps_value)
+        .collect::<Result<Vec<_>, _>>()?;
     let warmup: u64 = args.get_or("warmup", 1, "integer")?;
     let measure: u64 = args.get_or("measure", 5, "integer")?;
     let seed: u64 = args.get_or("seed", 42, "integer")?;
@@ -879,7 +898,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
 fn allreduce(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let machines: usize = args.get_or("machines", 4, "integer")?;
-    let gbps: f64 = args.get_or("gbps", 10.0, "number")?;
+    let gbps = gbps_value(args.get_or("gbps", 10.0, "number")?)?;
     let mut cfg = if args.switch("layerwise") {
         AllreduceConfig::layerwise_fifo(model, machines, Bandwidth::from_gbps(gbps))
     } else {
@@ -1004,6 +1023,34 @@ mod tests {
         let out = run("plan --model vgg19 --strategy p3 --servers 4").unwrap();
         assert!(out.contains("keys:"));
         assert!(out.contains("143667240"));
+    }
+
+    #[test]
+    fn gbps_must_be_positive_and_finite_on_every_command() {
+        let commands = [
+            "simulate --model resnet50 --machines 2 --iters 1",
+            "sweep --model resnet50 --machines 2 --measure 1",
+            "tune --models alexnet --machines 3",
+            "allreduce --model resnet50 --machines 2",
+            "timeline --model resnet50 --machines 2",
+        ];
+        for cmd in commands {
+            for gbps in ["-1", "0", "NaN", "inf", "1e400", "4,-1"] {
+                let line = format!("{cmd} --gbps {gbps}");
+                match run(&line) {
+                    Err(CliError::Args(ArgError::BadValue { flag, expected, .. })) => {
+                        assert_eq!(flag, "gbps", "{line}");
+                        // A list passed to a single-valued command fails
+                        // to parse as a number before it is range-checked.
+                        let takes_list = cmd.starts_with("sweep") || cmd.starts_with("tune");
+                        if takes_list || !gbps.contains(',') {
+                            assert_eq!(expected, "positive finite number", "{line}");
+                        }
+                    }
+                    other => panic!("{line}: expected a --gbps bad value, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! shell around `p3-tune`'s search driver.
 
 use crate::args::Args;
-use crate::commands::{bad_value, model_by_name, parse_topology_flags, resolve_machines, CliError};
+use crate::commands::{
+    bad_value, gbps_value, model_by_name, parse_topology_flags, resolve_machines, CliError,
+};
 use p3_models::ModelSpec;
 use p3_tune::{
     tune, verify_recommended, Cell, EvalParams, FaultClass, SearchSpace, TuneReport, TuneSettings,
@@ -26,7 +28,11 @@ pub(crate) fn tune_cmd(args: &Args) -> Result<String, CliError> {
     }
     let (topology, _placement) = parse_topology_flags(args)?;
     let machines = resolve_machines(args, topology.as_ref(), 4)?;
-    let gbps = args.get_f64_list("gbps", &[10.0])?;
+    let gbps = args
+        .get_f64_list("gbps", &[10.0])?
+        .into_iter()
+        .map(gbps_value)
+        .collect::<Result<Vec<_>, _>>()?;
     let faults: Vec<FaultClass> = args
         .get("faults")
         .unwrap_or("none")

@@ -1,30 +1,41 @@
-//! Strict-priority max-min fair rate allocation.
+//! Strict-priority max-min fair rate allocation over a [`LinkGraph`].
 //!
-//! Every machine NIC is modelled as two independent ports (transmit and
-//! receive) with fixed capacity. A flow from machine `a` to machine `b`
-//! consumes `a`'s tx port and `b`'s rx port at the same rate. Within a
-//! priority class, rates are max-min fair (progressive filling / water
-//! filling); across classes, a more urgent class is allocated first and less
-//! urgent classes share only the leftover capacity — the fluid-model
-//! equivalent of strict priority queueing, which is how P3's
-//! priority-tagged packets are serviced.
+//! Every flow crosses a fixed path of capacitated unidirectional links:
+//! its source machine's transmit port, any transit links (switch uplinks
+//! and downlinks), and its destination's receive port. Within a priority
+//! class, rates are max-min fair (progressive filling / water filling)
+//! over every link on every path; across classes, a more urgent class is
+//! allocated first and less urgent classes share only the leftover
+//! capacity — the fluid-model equivalent of strict priority queueing,
+//! which is how P3's priority-tagged packets are serviced.
+//!
+//! The flat single-switch fabric is the endpoint-only graph: no transit
+//! links, so each flow consumes its source's tx port and its
+//! destination's rx port at the same rate.
 
+use crate::multilink::{LinkGraph, LinkId, Route};
 use crate::types::Priority;
 
+/// Relative tolerance of the freeze tests.
+const EPS: f64 = 1e-9;
+/// Residual capacity below this (bytes/sec — one byte per ~12 days) is
+/// numerical noise left over from freezing a saturated link; treat it as
+/// zero so no flow is ever assigned an absurdly small positive rate.
+const FLOOR: f64 = 1e-6;
+
 /// Work performed by one allocator invocation: how many water-fill raise
-/// rounds ran and how many flow/port slots they examined. Counting is
+/// rounds ran and how many flow/link slots they examined. Counting is
 /// pure integer arithmetic bolted alongside the float math — the rate
-/// arithmetic itself is untouched, which the graph-vs-flat bit-identity
-/// property tests pin down — so the counters are as deterministic as the
-/// rates.
+/// arithmetic itself is untouched — so the counters are as deterministic
+/// as the rates.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocWork {
     /// Water-fill raise rounds executed.
     pub rounds: u64,
     /// Flow slots examined, summed over rounds.
     pub flow_touches: u64,
-    /// Ports (or links, for the graph allocator) carrying at least one
-    /// active flow, summed over rounds.
+    /// Links (ports included) carrying at least one active flow, summed
+    /// over rounds.
     pub port_touches: u64,
 }
 
@@ -39,249 +50,226 @@ pub struct FlowSpec {
     pub priority: Priority,
 }
 
-/// Computes the rate (bytes/sec) of each flow under strict-priority max-min
-/// fairness.
+/// Result of [`allocate_rates_on_graph`]: per-flow rates and the link at
+/// which each flow froze.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GraphAllocation {
+    /// Rate of each flow in bytes/sec, parallel to the input.
+    pub rates: Vec<f64>,
+    /// The saturated link that froze each flow, or `None` when the flow
+    /// was limited by the per-flow cap (or never froze on a link).
+    pub bottleneck: Vec<Option<LinkId>>,
+}
+
+/// Computes strict-priority max-min fair rates over a [`LinkGraph`]:
+/// progressive filling over every link on each flow's path, more urgent
+/// classes first, less urgent classes restricted to the leftovers.
 ///
-/// `tx_cap[i]` / `rx_cap[i]` are the transmit / receive capacities of machine
-/// `i` in bytes/sec. The result is parallel to `flows`.
+/// `caps` is the working capacity of each link (typically
+/// [`LinkGraph::scaled_caps`]). `flow_cap` bounds every individual flow —
+/// the single-stream goodput ceiling imposed by a CPU-bound endpoint
+/// stack (ps-lite serializes each connection on one core; PHub, Luo et
+/// al. 2018, measured a few Gbps per stream); link capacity freed by
+/// capped flows is redistributed max-min. `f64::INFINITY` disables it.
 ///
-/// Loopback flows (`src == dst`) still consume both of the machine's ports;
-/// callers that want free loopback should not submit such flows here.
+/// Loopback flows (`src == dst`) must not be submitted — they have no
+/// path in the graph.
 ///
 /// # Panics
 ///
-/// Panics if any flow references a machine outside `0..tx_cap.len()`, or if
-/// `tx_cap.len() != rx_cap.len()`.
+/// Panics if a flow references an unknown machine or a loopback pair, if
+/// `caps.len()` differs from the graph's link count, or if `flow_cap` is
+/// not positive.
 ///
 /// # Examples
 ///
 /// ```
-/// use p3_net::{allocate_rates, FlowSpec, Priority};
+/// use p3_net::{allocate_rates_on_graph, FlowSpec, LinkGraph, Priority};
 ///
 /// // Two equal-priority flows out of machine 0 share its tx port.
+/// let g = LinkGraph::new(&[100.0, 100.0, 100.0]);
 /// let flows = [
 ///     FlowSpec { src: 0, dst: 1, priority: Priority(1) },
 ///     FlowSpec { src: 0, dst: 2, priority: Priority(1) },
 /// ];
-/// let caps = [100.0, 100.0, 100.0];
-/// let rates = allocate_rates(&flows, &caps, &caps);
-/// assert_eq!(rates, vec![50.0, 50.0]);
+/// let alloc = allocate_rates_on_graph(&flows, &g, g.caps(), f64::INFINITY);
+/// assert_eq!(alloc.rates, vec![50.0, 50.0]);
+/// assert_eq!(alloc.bottleneck, vec![Some(g.tx_link(0)); 2]);
 /// ```
-pub fn allocate_rates(flows: &[FlowSpec], tx_cap: &[f64], rx_cap: &[f64]) -> Vec<f64> {
-    allocate_rates_capped(flows, tx_cap, rx_cap, f64::INFINITY)
-}
-
-/// Like [`allocate_rates`], but additionally caps every individual flow at
-/// `flow_cap` bytes/sec — the single-stream goodput ceiling imposed by a
-/// CPU-bound endpoint stack (ps-lite serializes each connection on one
-/// core; PHub, Luo et al. 2018, measured a few Gbps per stream). Leftover
-/// port capacity freed by capped flows is redistributed max-min.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`allocate_rates`], or if
-/// `flow_cap` is not positive.
-pub fn allocate_rates_capped(
+pub fn allocate_rates_on_graph(
     flows: &[FlowSpec],
-    tx_cap: &[f64],
-    rx_cap: &[f64],
+    graph: &LinkGraph,
+    caps: &[f64],
     flow_cap: f64,
-) -> Vec<f64> {
-    allocate_rates_capped_with_work(flows, tx_cap, rx_cap, flow_cap, &mut AllocWork::default())
+) -> GraphAllocation {
+    allocate_rates_on_graph_with_work(flows, graph, caps, flow_cap, &mut AllocWork::default())
 }
 
-/// Like [`allocate_rates_capped`], but additionally accumulates the
-/// allocator's effort (water-fill rounds, flow and port touches) into
-/// `work` — the simulator's self-profiling counters. The returned rates
-/// are bit-identical to the uncounted variant.
+/// Like [`allocate_rates_on_graph`], but additionally accumulates the
+/// allocator's effort (water-fill rounds, flow and link touches) into
+/// `work` — the simulator's self-profiling counters. The returned
+/// allocation is bit-identical to the uncounted variant.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`allocate_rates_capped`].
-pub fn allocate_rates_capped_with_work(
+/// Panics under the same conditions as [`allocate_rates_on_graph`].
+pub fn allocate_rates_on_graph_with_work(
     flows: &[FlowSpec],
-    tx_cap: &[f64],
-    rx_cap: &[f64],
+    graph: &LinkGraph,
+    caps: &[f64],
     flow_cap: f64,
     work: &mut AllocWork,
-) -> Vec<f64> {
+) -> GraphAllocation {
     assert_eq!(
-        tx_cap.len(),
-        rx_cap.len(),
-        "tx/rx capacity tables differ in length"
+        caps.len(),
+        graph.num_links(),
+        "capacity table does not match the graph"
     );
     assert!(flow_cap > 0.0, "non-positive flow cap");
-    let machines = tx_cap.len();
-    for f in flows {
-        assert!(
-            f.src < machines && f.dst < machines,
-            "flow {f:?} references unknown machine"
-        );
-    }
+    let machines = graph.machines();
+    // Each flow's path, resolved once for all rounds.
+    let routes: Vec<Route> = flows
+        .iter()
+        .map(|f| {
+            assert!(
+                f.src < machines && f.dst < machines,
+                "flow {f:?} references unknown machine"
+            );
+            assert!(
+                f.src != f.dst,
+                "loopback flow {f:?} has no path in the graph"
+            );
+            graph.route(f.src, f.dst)
+        })
+        .collect();
 
+    let mut res = caps.to_vec();
     let mut rates = vec![0.0; flows.len()];
-    if flows.is_empty() {
-        return rates;
-    }
+    let mut bottleneck = vec![None; flows.len()];
+    // Active flows per link in the current round.
+    let mut count = vec![0u32; caps.len()];
 
-    // Residual capacity per port after serving more urgent classes.
-    let mut res_tx: Vec<f64> = tx_cap.to_vec();
-    let mut res_rx: Vec<f64> = rx_cap.to_vec();
-
-    // Distinct classes, most urgent first.
-    let mut classes: Vec<Priority> = flows.iter().map(|f| f.priority).collect();
-    classes.sort_unstable();
-    classes.dedup();
-
-    for class in classes {
-        let members: Vec<usize> = (0..flows.len())
-            .filter(|&i| flows[i].priority == class)
-            .collect();
-        water_fill(
-            flows,
-            &members,
-            &mut res_tx,
-            &mut res_rx,
-            &mut rates,
-            flow_cap,
-            work,
-        );
-    }
-    rates
-}
-
-/// Progressive filling of one priority class on the residual capacities.
-/// On return, `rates` holds each member's max-min rate, the residuals are
-/// reduced by the allocation, and `work` has accumulated the effort spent.
-#[allow(clippy::too_many_arguments)]
-fn water_fill(
-    flows: &[FlowSpec],
-    members: &[usize],
-    res_tx: &mut [f64],
-    res_rx: &mut [f64],
-    rates: &mut [f64],
-    flow_cap: f64,
-    work: &mut AllocWork,
-) {
-    const EPS: f64 = 1e-9;
-    /// Residual capacity below this (bytes/sec — one byte per ~12 days) is
-    /// numerical noise left over from freezing a saturated port; treat it as
-    /// zero so no flow is ever assigned an absurdly small positive rate.
-    const FLOOR: f64 = 1e-6;
-    let machines = res_tx.len();
-    let mut active: Vec<usize> = members.to_vec();
-
-    while !active.is_empty() {
-        for m in 0..machines {
-            if res_tx[m] < FLOOR {
-                res_tx[m] = 0.0;
+    // Flows grouped by class, most urgent first; the stable sort keeps
+    // the input order within a class.
+    let mut order: Vec<usize> = (0..flows.len()).collect();
+    order.sort_by_key(|&i| flows[i].priority);
+    let mut active = Vec::with_capacity(flows.len());
+    for class in order.chunk_by(|&a, &b| flows[a].priority == flows[b].priority) {
+        // Progressive filling of the class on the residual capacities.
+        active.clear();
+        active.extend_from_slice(class);
+        while !active.is_empty() {
+            for r in res.iter_mut() {
+                if *r < FLOOR {
+                    *r = 0.0;
+                }
             }
-            if res_rx[m] < FLOOR {
-                res_rx[m] = 0.0;
+            count.fill(0);
+            for &i in &active {
+                routes[i].links().for_each(|l| count[l] += 1);
             }
-        }
-        // Count active flows per port.
-        let mut tx_count = vec![0u32; machines];
-        let mut rx_count = vec![0u32; machines];
-        for &i in &active {
-            tx_count[flows[i].src] += 1;
-            rx_count[flows[i].dst] += 1;
-        }
-        work.rounds += 1;
-        work.flow_touches += active.len() as u64;
-        work.port_touches += tx_count.iter().filter(|&&c| c > 0).count() as u64
-            + rx_count.iter().filter(|&&c| c > 0).count() as u64;
+            work.rounds += 1;
+            work.flow_touches += active.len() as u64;
+            work.port_touches += count.iter().filter(|&&c| c > 0).count() as u64;
 
-        // The common rate increment is limited by the tightest port, or by
-        // the first flow to reach the per-flow ceiling.
-        let mut delta = f64::INFINITY;
-        for m in 0..machines {
-            if tx_count[m] > 0 {
-                delta = delta.min(res_tx[m] / tx_count[m] as f64);
+            // The common rate increment is limited by the tightest link,
+            // or by the first flow to reach the per-flow ceiling.
+            let mut delta = f64::INFINITY;
+            for (&r, &c) in res.iter().zip(&count) {
+                if c > 0 {
+                    delta = delta.min(r / c as f64);
+                }
             }
-            if rx_count[m] > 0 {
-                delta = delta.min(res_rx[m] / rx_count[m] as f64);
+            for &i in &active {
+                delta = delta.min(flow_cap - rates[i]);
             }
-        }
-        for &i in &active {
-            delta = delta.min(flow_cap - rates[i]);
-        }
-        debug_assert!(delta.is_finite(), "active flows but no limiting port");
-        let delta = delta.max(0.0);
+            debug_assert!(delta.is_finite(), "active flows but no limiting link");
+            let delta = delta.max(0.0);
 
-        // Raise every active flow by delta and charge the ports.
-        for &i in &active {
-            rates[i] += delta;
-            res_tx[flows[i].src] -= delta;
-            res_rx[flows[i].dst] -= delta;
-        }
-        for m in 0..machines {
-            if res_tx[m] < 0.0 {
-                res_tx[m] = 0.0;
+            // Raise every active flow by delta and charge its whole path.
+            for &i in &active {
+                rates[i] += delta;
+                routes[i].links().for_each(|l| res[l] -= delta);
             }
-            if res_rx[m] < 0.0 {
-                res_rx[m] = 0.0;
+            for r in res.iter_mut() {
+                if *r < 0.0 {
+                    *r = 0.0;
+                }
             }
-        }
 
-        // Freeze flows passing through any saturated port. Capacity scale for
-        // the epsilon test: the largest original capacity in use.
-        let scale = res_tx
-            .iter()
-            .chain(res_rx.iter())
-            .fold(1.0f64, |a, &b| a.max(b))
-            .max(delta);
-        let before = active.len();
-        active.retain(|&i| {
-            rates[i] < flow_cap * (1.0 - EPS)
-                && res_tx[flows[i].src] > (EPS * scale).max(FLOOR)
-                && res_rx[flows[i].dst] > (EPS * scale).max(FLOOR)
-        });
-        // Progress guarantee: at least one flow froze, otherwise delta was
-        // limited by no port, which is impossible while flows are active.
-        if active.len() == before {
-            // All remaining ports have zero residual growth possible (e.g.
-            // zero-capacity links). Freeze everything to terminate.
-            break;
+            // Freeze flows crossing any saturated link, recording the
+            // first such link in path order as the bottleneck. Capacity
+            // scale for the epsilon test: the largest residual in use.
+            let scale = res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
+            let thr = (EPS * scale).max(FLOOR);
+            let before = active.len();
+            active.retain(|&i| {
+                if rates[i] >= flow_cap * (1.0 - EPS) {
+                    // Frozen by the per-flow cap, not by a link.
+                    return false;
+                }
+                match routes[i].links().find(|&l| res[l] <= thr) {
+                    Some(l) => {
+                        bottleneck[i] = Some(LinkId(l));
+                        false
+                    }
+                    None => true,
+                }
+            });
+            // Progress guarantee: if nothing froze, every remaining link
+            // has zero residual growth possible (e.g. zero-capacity
+            // links) — terminate.
+            if active.len() == before {
+                break;
+            }
         }
     }
+    GraphAllocation { rates, bottleneck }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
+        FlowSpec {
+            src,
+            dst,
+            priority: Priority(p),
+        }
+    }
+
     fn caps(n: usize, c: f64) -> Vec<f64> {
         vec![c; n]
     }
 
+    /// Rates on the flat fabric: the endpoint-only graph with the given
+    /// per-machine tx and rx port capacities.
+    fn flat(flows: &[FlowSpec], tx: &[f64], rx: &[f64], flow_cap: f64) -> Vec<f64> {
+        let g = LinkGraph::with_ports(tx, rx);
+        allocate_rates_on_graph(flows, &g, g.caps(), flow_cap).rates
+    }
+
     #[test]
     fn empty_input() {
-        assert!(allocate_rates(&[], &[], &[]).is_empty());
-        assert!(allocate_rates(&[], &caps(3, 10.0), &caps(3, 10.0)).is_empty());
+        assert!(flat(&[], &caps(3, 10.0), &caps(3, 10.0), f64::INFINITY).is_empty());
     }
 
     #[test]
     fn single_flow_gets_min_of_its_ports() {
-        let flows = [FlowSpec {
-            src: 0,
-            dst: 1,
-            priority: Priority(0),
-        }];
-        let rates = allocate_rates(&flows, &[100.0, 40.0], &[70.0, 30.0]);
+        let rates = flat(
+            &[flow(0, 1, 0)],
+            &[100.0, 40.0],
+            &[70.0, 30.0],
+            f64::INFINITY,
+        );
         assert_eq!(rates, vec![30.0]); // limited by dst rx
     }
 
     #[test]
     fn fan_out_shares_tx() {
-        let flows: Vec<FlowSpec> = (1..=4)
-            .map(|d| FlowSpec {
-                src: 0,
-                dst: d,
-                priority: Priority(2),
-            })
-            .collect();
-        let rates = allocate_rates(&flows, &caps(5, 100.0), &caps(5, 100.0));
+        let flows: Vec<FlowSpec> = (1..=4).map(|d| flow(0, d, 2)).collect();
+        let rates = flat(&flows, &caps(5, 100.0), &caps(5, 100.0), f64::INFINITY);
         for r in rates {
             assert!((r - 25.0).abs() < 1e-6);
         }
@@ -289,14 +277,8 @@ mod tests {
 
     #[test]
     fn incast_shares_rx() {
-        let flows: Vec<FlowSpec> = (1..=4)
-            .map(|s| FlowSpec {
-                src: s,
-                dst: 0,
-                priority: Priority(2),
-            })
-            .collect();
-        let rates = allocate_rates(&flows, &caps(5, 100.0), &caps(5, 100.0));
+        let flows: Vec<FlowSpec> = (1..=4).map(|s| flow(s, 0, 2)).collect();
+        let rates = flat(&flows, &caps(5, 100.0), &caps(5, 100.0), f64::INFINITY);
         for r in rates {
             assert!((r - 25.0).abs() < 1e-6);
         }
@@ -306,21 +288,10 @@ mod tests {
     fn max_min_redistributes_leftover() {
         // Flow A: 0->1 (shares tx of 0 with B). Flow B: 0->2 but dst 2 has a
         // tiny rx. B freezes at 10, A picks up the leftover 90.
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(1),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 2,
-                priority: Priority(1),
-            },
-        ];
+        let flows = [flow(0, 1, 1), flow(0, 2, 1)];
         let tx = [100.0, 100.0, 100.0];
         let rx = [100.0, 100.0, 10.0];
-        let rates = allocate_rates(&flows, &tx, &rx);
+        let rates = flat(&flows, &tx, &rx, f64::INFINITY);
         assert!((rates[1] - 10.0).abs() < 1e-6, "B limited by rx: {rates:?}");
         assert!(
             (rates[0] - 90.0).abs() < 1e-6,
@@ -330,19 +301,8 @@ mod tests {
 
     #[test]
     fn strict_priority_starves_bulk() {
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(9),
-            },
-        ];
-        let rates = allocate_rates(&flows, &caps(2, 100.0), &caps(2, 100.0));
+        let flows = [flow(0, 1, 0), flow(0, 1, 9)];
+        let rates = flat(&flows, &caps(2, 100.0), &caps(2, 100.0), f64::INFINITY);
         assert!((rates[0] - 100.0).abs() < 1e-6);
         assert!(rates[1].abs() < 1e-6);
     }
@@ -350,19 +310,8 @@ mod tests {
     #[test]
     fn lower_class_uses_ports_urgent_class_does_not() {
         // Urgent flow 0->1 saturates 0.tx; bulk flow 2->3 is unaffected.
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 2,
-                dst: 3,
-                priority: Priority(7),
-            },
-        ];
-        let rates = allocate_rates(&flows, &caps(4, 100.0), &caps(4, 100.0));
+        let flows = [flow(0, 1, 0), flow(2, 3, 7)];
+        let rates = flat(&flows, &caps(4, 100.0), &caps(4, 100.0), f64::INFINITY);
         assert!((rates[0] - 100.0).abs() < 1e-6);
         assert!((rates[1] - 100.0).abs() < 1e-6);
     }
@@ -370,53 +319,43 @@ mod tests {
     #[test]
     fn bidirectional_flows_do_not_contend() {
         // tx and rx are independent: full-duplex.
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(1),
-            },
-            FlowSpec {
-                src: 1,
-                dst: 0,
-                priority: Priority(1),
-            },
-        ];
-        let rates = allocate_rates(&flows, &caps(2, 100.0), &caps(2, 100.0));
+        let flows = [flow(0, 1, 1), flow(1, 0, 1)];
+        let rates = flat(&flows, &caps(2, 100.0), &caps(2, 100.0), f64::INFINITY);
         assert!((rates[0] - 100.0).abs() < 1e-6);
         assert!((rates[1] - 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn zero_capacity_yields_zero_rates() {
-        let flows = [FlowSpec {
-            src: 0,
-            dst: 1,
-            priority: Priority(1),
-        }];
-        let rates = allocate_rates(&flows, &[0.0, 0.0], &[0.0, 0.0]);
+        let rates = flat(&[flow(0, 1, 1)], &[0.0, 0.0], &[0.0, 0.0], f64::INFINITY);
         assert_eq!(rates, vec![0.0]);
     }
 
     #[test]
     #[should_panic(expected = "unknown machine")]
     fn out_of_range_machine_panics() {
-        let flows = [FlowSpec {
-            src: 0,
-            dst: 5,
-            priority: Priority(0),
-        }];
-        allocate_rates(&flows, &caps(2, 1.0), &caps(2, 1.0));
+        flat(
+            &[flow(0, 5, 0)],
+            &caps(2, 1.0),
+            &caps(2, 1.0),
+            f64::INFINITY,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "loopback")]
+    fn loopback_flow_rejected() {
+        flat(
+            &[flow(1, 1, 0)],
+            &caps(2, 10.0),
+            &caps(2, 10.0),
+            f64::INFINITY,
+        );
     }
 
     #[test]
     fn flow_cap_limits_isolated_flow() {
-        let flows = [FlowSpec {
-            src: 0,
-            dst: 1,
-            priority: Priority(0),
-        }];
-        let rates = allocate_rates_capped(&flows, &caps(2, 100.0), &caps(2, 100.0), 30.0);
+        let rates = flat(&[flow(0, 1, 0)], &caps(2, 100.0), &caps(2, 100.0), 30.0);
         assert_eq!(rates, vec![30.0]);
     }
 
@@ -424,41 +363,19 @@ mod tests {
     fn capped_flows_release_capacity_to_others() {
         // Two flows share 0.tx; with a cap of 30, each takes 30 and the
         // rest of the port goes unused (no third flow to absorb it).
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 2,
-                priority: Priority(0),
-            },
-        ];
-        let rates = allocate_rates_capped(&flows, &caps(3, 100.0), &caps(3, 100.0), 30.0);
+        let flows = [flow(0, 1, 0), flow(0, 2, 0)];
+        let rates = flat(&flows, &caps(3, 100.0), &caps(3, 100.0), 30.0);
         assert_eq!(rates, vec![30.0, 30.0]);
         // With a cap of 80 the port (100) binds instead: 50/50.
-        let rates = allocate_rates_capped(&flows, &caps(3, 100.0), &caps(3, 100.0), 80.0);
+        let rates = flat(&flows, &caps(3, 100.0), &caps(3, 100.0), 80.0);
         assert_eq!(rates, vec![50.0, 50.0]);
     }
 
     #[test]
-    fn uncapped_equals_infinite_cap() {
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 1,
-                dst: 2,
-                priority: Priority(1),
-            },
-        ];
-        let a = allocate_rates(&flows, &caps(3, 77.0), &caps(3, 77.0));
-        let b = allocate_rates_capped(&flows, &caps(3, 77.0), &caps(3, 77.0), 1e18);
+    fn uncapped_equals_huge_cap() {
+        let flows = [flow(0, 1, 0), flow(1, 2, 1)];
+        let a = flat(&flows, &caps(3, 77.0), &caps(3, 77.0), f64::INFINITY);
+        let b = flat(&flows, &caps(3, 77.0), &caps(3, 77.0), 1e18);
         assert_eq!(a, b);
     }
 
@@ -466,56 +383,37 @@ mod tests {
     fn three_class_cascade() {
         // Class 0 takes 60 (its rx limit), class 1 takes the remaining 40 of
         // 0.tx, class 2 gets nothing from 0.tx.
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 2,
-                priority: Priority(1),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 3,
-                priority: Priority(2),
-            },
-        ];
+        let flows = [flow(0, 1, 0), flow(0, 2, 1), flow(0, 3, 2)];
         let tx = [100.0, 100.0, 100.0, 100.0];
         let rx = [100.0, 60.0, 100.0, 100.0];
-        let rates = allocate_rates(&flows, &tx, &rx);
+        let rates = flat(&flows, &tx, &rx, f64::INFINITY);
         assert!((rates[0] - 60.0).abs() < 1e-6);
         assert!((rates[1] - 40.0).abs() < 1e-6);
         assert!(rates[2].abs() < 1e-6);
     }
 
     #[test]
+    fn interleaved_classes_are_grouped() {
+        // Class 0 flows sit between class 2 flows in the input; they
+        // still take 0.tx first, in equal shares.
+        let flows = [flow(0, 1, 2), flow(0, 2, 0), flow(0, 3, 2), flow(0, 1, 0)];
+        let rates = flat(&flows, &caps(4, 90.0), &caps(4, 90.0), f64::INFINITY);
+        assert_eq!(rates, vec![0.0, 45.0, 0.0, 45.0]);
+    }
+
+    #[test]
     fn work_counters_are_filled_without_perturbing_rates() {
-        let flows = [
-            FlowSpec {
-                src: 0,
-                dst: 1,
-                priority: Priority(0),
-            },
-            FlowSpec {
-                src: 0,
-                dst: 2,
-                priority: Priority(1),
-            },
-        ];
-        let plain = allocate_rates_capped(&flows, &caps(3, 100.0), &caps(3, 100.0), 30.0);
+        let flows = [flow(0, 1, 0), flow(0, 2, 1)];
+        let g = LinkGraph::new(&caps(3, 100.0));
+        let plain = allocate_rates_on_graph(&flows, &g, g.caps(), 30.0);
         let mut work = AllocWork::default();
-        let counted = allocate_rates_capped_with_work(
-            &flows,
-            &caps(3, 100.0),
-            &caps(3, 100.0),
-            30.0,
-            &mut work,
-        );
+        let counted = allocate_rates_on_graph_with_work(&flows, &g, g.caps(), 30.0, &mut work);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&plain), bits(&counted), "counting changed a rate bit");
+        assert_eq!(
+            bits(&plain.rates),
+            bits(&counted.rates),
+            "counting changed a rate bit"
+        );
         // Two priority classes: at least one round each, and every round
         // touches one flow over two ports.
         assert!(work.rounds >= 2, "{work:?}");
@@ -525,10 +423,10 @@ mod tests {
 
     #[test]
     fn empty_input_reports_zero_work() {
+        let g = LinkGraph::new(&caps(2, 10.0));
         let mut work = AllocWork::default();
-        let rates =
-            allocate_rates_capped_with_work(&[], &caps(2, 10.0), &caps(2, 10.0), 1.0, &mut work);
-        assert!(rates.is_empty());
+        let a = allocate_rates_on_graph_with_work(&[], &g, g.caps(), 1.0, &mut work);
+        assert!(a.rates.is_empty() && a.bottleneck.is_empty());
         assert_eq!(work, AllocWork::default());
     }
 }
@@ -538,23 +436,33 @@ mod properties {
     use super::*;
     use proptest::prelude::*;
 
+    /// Random flows over `machines` machines; a drawn `src == dst` pair is
+    /// remapped to the next machine, since loopback has no path.
     fn arb_flows(machines: usize) -> impl Strategy<Value = Vec<FlowSpec>> {
         prop::collection::vec(
-            (0..machines, 0..machines, 0u32..4).prop_map(|(src, dst, p)| FlowSpec {
+            (0..machines, 0..machines, 0u32..4).prop_map(move |(src, dst, p)| FlowSpec {
                 src,
-                dst,
+                dst: if dst == src {
+                    (dst + 1) % machines
+                } else {
+                    dst
+                },
                 priority: Priority(p),
             }),
             0..24,
         )
     }
 
+    /// Rates on the flat fabric of `n` machines with `cap` on every port.
+    fn flat(flows: &[FlowSpec], n: usize, cap: f64) -> Vec<f64> {
+        let g = LinkGraph::new(&vec![cap; n]);
+        allocate_rates_on_graph(flows, &g, g.caps(), f64::INFINITY).rates
+    }
+
     proptest! {
         #[test]
         fn port_capacities_respected(flows in arb_flows(5), cap in 1.0f64..1e10) {
-            let tx = vec![cap; 5];
-            let rx = vec![cap; 5];
-            let rates = allocate_rates(&flows, &tx, &rx);
+            let rates = flat(&flows, 5, cap);
             let mut tx_sum = [0.0; 5];
             let mut rx_sum = [0.0; 5];
             for (f, r) in flows.iter().zip(&rates) {
@@ -573,16 +481,14 @@ mod properties {
             // Every flow must have at least one saturated port (max-min
             // optimality): otherwise its rate could be raised.
             let cap = 100.0;
-            let tx = vec![cap; 4];
-            let rx = vec![cap; 4];
-            let rates = allocate_rates(&flows, &tx, &rx);
+            let rates = flat(&flows, 4, cap);
             let mut tx_sum = [0.0; 4];
             let mut rx_sum = [0.0; 4];
             for (f, r) in flows.iter().zip(&rates) {
                 tx_sum[f.src] += r;
                 rx_sum[f.dst] += r;
             }
-            for (f, _r) in flows.iter().zip(&rates) {
+            for f in &flows {
                 let saturated = tx_sum[f.src] >= cap * (1.0 - 1e-6)
                     || rx_sum[f.dst] >= cap * (1.0 - 1e-6);
                 prop_assert!(saturated, "flow {:?} has slack on both ports", f);
@@ -593,12 +499,10 @@ mod properties {
         fn urgent_class_blind_to_bulk(flows in arb_flows(4)) {
             // Rates of the most urgent class must be identical whether or
             // not any other traffic exists.
-            let tx = vec![77.0; 4];
-            let rx = vec![77.0; 4];
-            let all = allocate_rates(&flows, &tx, &rx);
+            let all = flat(&flows, 4, 77.0);
             let urgent: Vec<FlowSpec> =
                 flows.iter().copied().filter(|f| f.priority == Priority(0)).collect();
-            let alone = allocate_rates(&urgent, &tx, &rx);
+            let alone = flat(&urgent, 4, 77.0);
             let mut k = 0;
             for (f, r) in flows.iter().zip(&all) {
                 if f.priority == Priority(0) {
@@ -613,7 +517,7 @@ mod properties {
         fn identical_flows_get_equal_rates(n in 1usize..10, cap in 1.0f64..1e9) {
             let flows: Vec<FlowSpec> =
                 (0..n).map(|_| FlowSpec { src: 0, dst: 1, priority: Priority(1) }).collect();
-            let rates = allocate_rates(&flows, &[cap, cap], &[cap, cap]);
+            let rates = flat(&flows, 2, cap);
             for r in &rates {
                 prop_assert!((r - rates[0]).abs() < 1e-6 * cap);
             }

@@ -1,21 +1,13 @@
-//! Multi-hop topology: link graph and multi-constraint max-min allocation.
+//! Multi-hop topology: the link graph the rate allocator runs on.
 //!
-//! The flat allocator in [`crate::allocate_rates`] water-fills over two
-//! ports per machine (tx and rx). Production clusters are not flat: racks
-//! hang off top-of-rack switches whose core uplinks are oversubscribed
-//! (Parameter Hub, Luo et al., SoCC 2018, measures PS traffic dying
-//! exactly there). This module generalizes the fluid model to a
-//! [`LinkGraph`]: a set of capacitated unidirectional links plus one fixed
-//! path per ordered machine pair. [`allocate_rates_on_graph`] performs
-//! strict-priority progressive filling over *every* link on a flow's path.
-//!
-//! The generalization is exact: a graph whose paths are `[tx(src),
-//! rx(dst)]` (no transit links) reproduces the flat allocator
-//! bit-for-bit — same epsilons, same freeze rule, same iteration
-//! arithmetic — which the property tests below pin down.
-
-use crate::allocator::{AllocWork, FlowSpec};
-use crate::types::Priority;
+//! Production clusters are not flat: racks hang off top-of-rack switches
+//! whose core uplinks are oversubscribed (Parameter Hub, Luo et al., SoCC
+//! 2018, measures PS traffic dying exactly there). A [`LinkGraph`] is a
+//! set of capacitated unidirectional links plus one fixed path per ordered
+//! machine pair, and [`crate::allocate_rates_on_graph`] performs
+//! strict-priority progressive filling over *every* link on a flow's
+//! path. The flat single-switch fabric is the graph with no transit links,
+//! where every path is `[tx(src), rx(dst)]`.
 
 /// Index of one unidirectional link in a [`LinkGraph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -24,6 +16,25 @@ pub struct LinkId(pub usize);
 impl std::fmt::Display for LinkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "l{}", self.0)
+    }
+}
+
+/// One machine pair's route: the source's tx port, the transit hops, the
+/// destination's rx port.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Route<'g> {
+    tx: usize,
+    hops: &'g [LinkId],
+    rx: usize,
+}
+
+impl<'g> Route<'g> {
+    /// The route's link indices, in path order.
+    pub(crate) fn links(self) -> impl Iterator<Item = usize> + 'g {
+        let hops = self.hops.iter().map(|h| h.0);
+        std::iter::once(self.tx)
+            .chain(hops)
+            .chain(std::iter::once(self.rx))
     }
 }
 
@@ -57,11 +68,15 @@ impl std::fmt::Display for LinkId {
 #[derive(Debug, Clone)]
 pub struct LinkGraph {
     machines: usize,
+    /// Names of the transit links; port names follow from the machine.
     names: Vec<String>,
     caps: Vec<f64>,
-    /// Row-major `src * machines + dst`; each entry is the full path
-    /// including the endpoint ports.
-    paths: Vec<Vec<LinkId>>,
+    /// Transit hops of every routed pair, back to back.
+    hops: Vec<LinkId>,
+    /// Row-major `src * machines + dst`: the `(start, end)` of the pair's
+    /// transit hops in `hops`. Empty until the first
+    /// [`LinkGraph::set_transit`]; the endpoint ports follow from the pair.
+    routes: Vec<(usize, usize)>,
 }
 
 impl LinkGraph {
@@ -87,36 +102,20 @@ impl LinkGraph {
     pub fn with_ports(tx: &[f64], rx: &[f64]) -> Self {
         assert!(!tx.is_empty(), "a link graph needs at least one machine");
         assert_eq!(tx.len(), rx.len(), "tx/rx capacity tables differ in length");
-        let machines = tx.len();
-        let mut names = Vec::with_capacity(2 * machines);
-        let mut caps = Vec::with_capacity(2 * machines);
-        for (m, &c) in tx.iter().enumerate() {
-            assert!(
-                c >= 0.0 && c.is_finite(),
-                "bad tx capacity {c} on machine {m}"
-            );
-            names.push(format!("m{m}.tx"));
-            caps.push(c);
-        }
-        for (m, &c) in rx.iter().enumerate() {
-            assert!(
-                c >= 0.0 && c.is_finite(),
-                "bad rx capacity {c} on machine {m}"
-            );
-            names.push(format!("m{m}.rx"));
-            caps.push(c);
-        }
-        let mut paths = Vec::with_capacity(machines * machines);
-        for src in 0..machines {
-            for dst in 0..machines {
-                paths.push(vec![LinkId(src), LinkId(machines + dst)]);
+        for (side, ports) in [("tx", tx), ("rx", rx)] {
+            for (m, &c) in ports.iter().enumerate() {
+                assert!(
+                    c >= 0.0 && c.is_finite(),
+                    "bad {side} capacity {c} on machine {m}"
+                );
             }
         }
         LinkGraph {
-            machines,
-            names,
-            caps,
-            paths,
+            machines: tx.len(),
+            names: Vec::new(),
+            caps: [tx, rx].concat(),
+            hops: Vec::new(),
+            routes: Vec::new(),
         }
     }
 
@@ -147,13 +146,20 @@ impl LinkGraph {
         link.0 >= 2 * self.machines
     }
 
-    /// Human-readable name of a link.
+    /// Human-readable name of a link: `m{m}.tx` or `m{m}.rx` for machine
+    /// `m`'s ports, the name given to [`LinkGraph::add_link`] for a
+    /// transit link.
     ///
     /// # Panics
     ///
     /// Panics if `link` is out of range.
-    pub fn link_name(&self, link: LinkId) -> &str {
-        &self.names[link.0]
+    pub fn link_name(&self, link: LinkId) -> String {
+        let m = self.machines;
+        match link.0.checked_sub(2 * m) {
+            Some(t) => self.names[t].clone(),
+            None if link.0 < m => format!("m{}.tx", link.0),
+            None => format!("m{}.rx", link.0 - m),
+        }
     }
 
     /// Nominal capacity of a link in bytes/sec.
@@ -195,35 +201,54 @@ impl LinkGraph {
             "unknown machine pair {src}->{dst}"
         );
         assert!(src != dst, "no route needed from a machine to itself");
-        let mut path = Vec::with_capacity(via.len() + 2);
-        path.push(LinkId(src));
-        for &l in via {
+        for (k, &l) in via.iter().enumerate() {
             assert!(l.0 < self.caps.len(), "unknown link {l}");
             assert!(
                 self.is_transit(l),
                 "path interior must be transit links, got port {l}"
             );
             assert!(
-                !path.contains(&l),
+                !via[..k].contains(&l),
                 "duplicate link {l} on path {src}->{dst}"
             );
-            path.push(l);
         }
-        path.push(LinkId(self.machines + dst));
-        self.paths[src * self.machines + dst] = path;
+        if self.routes.is_empty() {
+            self.routes = vec![(0, 0); self.machines * self.machines];
+        }
+        let start = self.hops.len();
+        self.hops.extend_from_slice(via);
+        self.routes[src * self.machines + dst] = (start, self.hops.len());
     }
 
-    /// The fixed route for `src -> dst`, endpoint ports included.
+    /// The fixed route for `src -> dst`.
     ///
     /// # Panics
     ///
     /// Panics if either machine is out of range.
-    pub fn path(&self, src: usize, dst: usize) -> &[LinkId] {
+    pub(crate) fn route(&self, src: usize, dst: usize) -> Route<'_> {
         assert!(
             src < self.machines && dst < self.machines,
             "unknown machine pair {src}->{dst}"
         );
-        &self.paths[src * self.machines + dst]
+        let hops = match self.routes.get(src * self.machines + dst) {
+            Some(&(start, end)) => &self.hops[start..end],
+            None => &[],
+        };
+        Route {
+            tx: src,
+            hops,
+            rx: self.machines + dst,
+        }
+    }
+
+    /// The fixed route for `src -> dst`, endpoint ports included:
+    /// `tx(src)`, the transit hops, `rx(dst)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either machine is out of range.
+    pub fn path(&self, src: usize, dst: usize) -> impl Iterator<Item = LinkId> + '_ {
+        self.route(src, dst).links().map(LinkId)
     }
 
     /// Link capacities scaled by a protocol-efficiency factor and by
@@ -246,207 +271,13 @@ impl LinkGraph {
     }
 }
 
-/// Result of [`allocate_rates_on_graph`]: per-flow rates and the link at
-/// which each flow froze.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphAllocation {
-    /// Rate of each flow in bytes/sec, parallel to the input.
-    pub rates: Vec<f64>,
-    /// The saturated link that froze each flow, or `None` when the flow
-    /// was limited by the per-flow cap (or never froze on a link).
-    pub bottleneck: Vec<Option<LinkId>>,
-}
-
-/// Computes strict-priority max-min fair rates over a [`LinkGraph`]:
-/// progressive filling over every link on each flow's path, more urgent
-/// classes first, less urgent classes restricted to the leftovers.
-///
-/// `caps` is the working capacity of each link (typically
-/// [`LinkGraph::scaled_caps`]); `flow_cap` bounds every individual flow as
-/// in [`crate::allocate_rates_capped`].
-///
-/// Loopback flows (`src == dst`) must not be submitted — they have no
-/// path in the graph.
-///
-/// # Panics
-///
-/// Panics if a flow references an unknown machine or a loopback pair, if
-/// `caps.len()` differs from the graph's link count, or if `flow_cap` is
-/// not positive.
-pub fn allocate_rates_on_graph(
-    flows: &[FlowSpec],
-    graph: &LinkGraph,
-    caps: &[f64],
-    flow_cap: f64,
-) -> GraphAllocation {
-    allocate_rates_on_graph_with_work(flows, graph, caps, flow_cap, &mut AllocWork::default())
-}
-
-/// Like [`allocate_rates_on_graph`], but additionally accumulates the
-/// allocator's effort (water-fill rounds, flow and link touches) into
-/// `work` — the simulator's self-profiling counters. The returned
-/// allocation is bit-identical to the uncounted variant.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`allocate_rates_on_graph`].
-pub fn allocate_rates_on_graph_with_work(
-    flows: &[FlowSpec],
-    graph: &LinkGraph,
-    caps: &[f64],
-    flow_cap: f64,
-    work: &mut AllocWork,
-) -> GraphAllocation {
-    assert_eq!(
-        caps.len(),
-        graph.num_links(),
-        "capacity table does not match the graph"
-    );
-    assert!(flow_cap > 0.0, "non-positive flow cap");
-    let machines = graph.machines();
-    for f in flows {
-        assert!(
-            f.src < machines && f.dst < machines,
-            "flow {f:?} references unknown machine"
-        );
-        assert!(
-            f.src != f.dst,
-            "loopback flow {f:?} has no path in the graph"
-        );
-    }
-
-    let mut rates = vec![0.0; flows.len()];
-    let mut bottleneck = vec![None; flows.len()];
-    if flows.is_empty() {
-        return GraphAllocation { rates, bottleneck };
-    }
-
-    let mut res: Vec<f64> = caps.to_vec();
-
-    let mut classes: Vec<Priority> = flows.iter().map(|f| f.priority).collect();
-    classes.sort_unstable();
-    classes.dedup();
-
-    for class in classes {
-        let members: Vec<usize> = (0..flows.len())
-            .filter(|&i| flows[i].priority == class)
-            .collect();
-        water_fill_graph(
-            flows,
-            &members,
-            graph,
-            &mut res,
-            &mut rates,
-            flow_cap,
-            &mut bottleneck,
-            work,
-        );
-    }
-    GraphAllocation { rates, bottleneck }
-}
-
-/// Progressive filling of one priority class over the residual link
-/// capacities. The constants and the freeze rule mirror the flat
-/// `water_fill` exactly so that an endpoint-only graph is bit-compatible
-/// with `allocate_rates_capped`.
-#[allow(clippy::too_many_arguments)]
-fn water_fill_graph(
-    flows: &[FlowSpec],
-    members: &[usize],
-    graph: &LinkGraph,
-    res: &mut [f64],
-    rates: &mut [f64],
-    flow_cap: f64,
-    bottleneck: &mut [Option<LinkId>],
-    work: &mut AllocWork,
-) {
-    const EPS: f64 = 1e-9;
-    /// Residual capacity below this (bytes/sec) is numerical noise left
-    /// over from freezing a saturated link; treat it as zero.
-    const FLOOR: f64 = 1e-6;
-    let links = res.len();
-    let mut active: Vec<usize> = members.to_vec();
-
-    while !active.is_empty() {
-        for r in res.iter_mut() {
-            if *r < FLOOR {
-                *r = 0.0;
-            }
-        }
-        // Count active flows per link.
-        let mut count = vec![0u32; links];
-        for &i in &active {
-            for l in graph.path(flows[i].src, flows[i].dst) {
-                count[l.0] += 1;
-            }
-        }
-        work.rounds += 1;
-        work.flow_touches += active.len() as u64;
-        work.port_touches += count.iter().filter(|&&c| c > 0).count() as u64;
-
-        // The common rate increment is limited by the tightest link, or by
-        // the first flow to reach the per-flow ceiling.
-        let mut delta = f64::INFINITY;
-        for l in 0..links {
-            if count[l] > 0 {
-                delta = delta.min(res[l] / count[l] as f64);
-            }
-        }
-        for &i in &active {
-            delta = delta.min(flow_cap - rates[i]);
-        }
-        debug_assert!(delta.is_finite(), "active flows but no limiting link");
-        let delta = delta.max(0.0);
-
-        // Raise every active flow by delta and charge its whole path.
-        for &i in &active {
-            rates[i] += delta;
-            for l in graph.path(flows[i].src, flows[i].dst) {
-                res[l.0] -= delta;
-            }
-        }
-        for r in res.iter_mut() {
-            if *r < 0.0 {
-                *r = 0.0;
-            }
-        }
-
-        // Freeze flows crossing any saturated link, recording which link
-        // bound them. Capacity scale for the epsilon test: the largest
-        // residual in use.
-        let scale = res.iter().fold(1.0f64, |a, &b| a.max(b)).max(delta);
-        let thr = (EPS * scale).max(FLOOR);
-        let before = active.len();
-        let mut kept = Vec::with_capacity(active.len());
-        for &i in &active {
-            if rates[i] >= flow_cap * (1.0 - EPS) {
-                // Frozen by the per-flow cap, not by a link.
-                continue;
-            }
-            let hit = graph
-                .path(flows[i].src, flows[i].dst)
-                .iter()
-                .find(|l| res[l.0] <= thr);
-            match hit {
-                Some(&l) => bottleneck[i] = Some(l),
-                None => kept.push(i),
-            }
-        }
-        let frozen = before - kept.len();
-        active = kept;
-        // Progress guarantee mirror of the flat allocator: if nothing
-        // froze, every remaining link has zero residual growth possible
-        // (e.g. zero-capacity links) — terminate.
-        if frozen == 0 {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::allocate_rates_capped;
+    use crate::allocator::{
+        allocate_rates_on_graph, allocate_rates_on_graph_with_work, AllocWork, FlowSpec,
+    };
+    use crate::types::Priority;
 
     fn flow(src: usize, dst: usize, p: u32) -> FlowSpec {
         FlowSpec {
@@ -481,11 +312,42 @@ mod tests {
     }
 
     #[test]
-    fn empty_input() {
-        let g = LinkGraph::new(&[10.0, 10.0]);
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&[], &g, &caps, f64::INFINITY);
-        assert!(a.rates.is_empty() && a.bottleneck.is_empty());
+    fn paths_run_tx_then_transit_then_rx() {
+        let g = two_racks(100.0, 50.0);
+        let ids = |src, dst| g.path(src, dst).map(|l| l.0).collect::<Vec<_>>();
+        assert_eq!(ids(0, 1), vec![0, 5], "intra-rack: ports only");
+        assert_eq!(ids(1, 0), vec![1, 4]);
+        assert_eq!(ids(0, 3), vec![0, 8, 11, 7], "tx, rack0.up, rack1.down, rx");
+        assert_eq!(ids(3, 0), vec![3, 10, 9, 4], "tx, rack1.up, rack0.down, rx");
+        let flat = LinkGraph::new(&[1.0; 3]);
+        assert_eq!(flat.path(2, 0).map(|l| l.0).collect::<Vec<_>>(), vec![2, 3]);
+    }
+
+    #[test]
+    fn links_are_named_after_their_machine_or_as_added() {
+        let g = two_racks(100.0, 50.0);
+        assert_eq!(g.link_name(g.tx_link(3)), "m3.tx");
+        assert_eq!(g.link_name(g.rx_link(0)), "m0.rx");
+        assert_eq!(g.link_name(LinkId(8)), "rack0.up");
+        assert_eq!(g.link_name(LinkId(11)), "rack1.down");
+    }
+
+    #[test]
+    fn rerouting_a_pair_replaces_its_hops() {
+        let mut g = two_racks(100.0, 50.0);
+        let extra = g.add_link("spine", 10.0);
+        g.set_transit(0, 3, &[extra]);
+        let path = |src, dst| g.path(src, dst).collect::<Vec<_>>();
+        assert_eq!(path(0, 3), vec![g.tx_link(0), extra, g.rx_link(3)]);
+        assert_eq!(path(1, 3).len(), 4, "other pairs keep their route");
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate link")]
+    fn repeated_transit_hop_rejected() {
+        let mut g = LinkGraph::new(&[10.0, 10.0]);
+        let up = g.add_link("up", 5.0);
+        g.set_transit(0, 1, &[up, up]);
     }
 
     #[test]
@@ -553,38 +415,12 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_only_graph_matches_flat_exactly() {
-        let tx = [100.0, 70.0, 90.0];
-        let rx = [80.0, 100.0, 30.0];
-        let g = LinkGraph::with_ports(&tx, &rx);
-        let flows = [
-            flow(0, 1, 0),
-            flow(0, 2, 1),
-            flow(1, 2, 1),
-            flow(2, 0, 0),
-            flow(1, 0, 2),
-        ];
-        let caps = g.caps().to_vec();
-        let a = allocate_rates_on_graph(&flows, &g, &caps, 55.0);
-        let b = allocate_rates_capped(&flows, &tx, &rx, 55.0);
-        assert_eq!(a.rates, b, "degenerate graph must be bit-identical to flat");
-    }
-
-    #[test]
     fn zero_capacity_core_yields_zero_rates() {
         let g = two_racks(100.0, 0.0);
         let flows = [flow(0, 3, 0)];
         let caps = g.caps().to_vec();
         let a = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
         assert_eq!(a.rates, vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "loopback")]
-    fn loopback_flow_rejected() {
-        let g = LinkGraph::new(&[10.0, 10.0]);
-        let caps = g.caps().to_vec();
-        allocate_rates_on_graph(&[flow(1, 1, 0)], &g, &caps, f64::INFINITY);
     }
 
     #[test]
@@ -617,7 +453,8 @@ mod tests {
 #[cfg(test)]
 mod properties {
     use super::*;
-    use crate::allocator::allocate_rates_capped;
+    use crate::allocator::{allocate_rates_on_graph, FlowSpec};
+    use crate::types::Priority;
     use proptest::prelude::*;
 
     fn arb_flows(machines: usize) -> impl Strategy<Value = Vec<FlowSpec>> {
@@ -657,44 +494,6 @@ mod properties {
     }
 
     proptest! {
-        /// Satellite: a one-rack graph (oversub irrelevant — no transit
-        /// links on any path) produces rates identical to the flat
-        /// allocator on randomized flow sets.
-        #[test]
-        fn degenerate_graph_matches_flat(flows in arb_flows(5), cap in 1.0f64..1e10) {
-            let tx = vec![cap; 5];
-            let rx = vec![cap; 5];
-            let g = LinkGraph::with_ports(&tx, &rx);
-            let caps = g.caps().to_vec();
-            let graph = allocate_rates_on_graph(&flows, &g, &caps, f64::INFINITY);
-            let flat = allocate_rates_capped(&flows, &tx, &rx, f64::INFINITY);
-            for (i, (a, b)) in graph.rates.iter().zip(&flat).enumerate() {
-                prop_assert!((a - b).abs() <= 1e-9 * cap.max(1.0),
-                    "flow {i}: graph {a} vs flat {b}");
-                prop_assert_eq!(a.to_bits(), b.to_bits(),
-                    "flow {i}: not bit-identical: {} vs {}", a, b);
-            }
-        }
-
-        /// Same, with a per-flow cap in play.
-        #[test]
-        fn degenerate_graph_matches_flat_capped(
-            flows in arb_flows(5),
-            cap in 1.0f64..1e10,
-            frac in 0.05f64..1.5,
-        ) {
-            let tx = vec![cap; 5];
-            let rx = vec![cap; 5];
-            let g = LinkGraph::with_ports(&tx, &rx);
-            let caps = g.caps().to_vec();
-            let flow_cap = cap * frac;
-            let graph = allocate_rates_on_graph(&flows, &g, &caps, flow_cap);
-            let flat = allocate_rates_capped(&flows, &tx, &rx, flow_cap);
-            for (a, b) in graph.rates.iter().zip(&flat) {
-                prop_assert_eq!(a.to_bits(), b.to_bits(), "not bit-identical: {} vs {}", a, b);
-            }
-        }
-
         /// No link in an oversubscribed fabric is ever loaded beyond its
         /// capacity.
         #[test]
@@ -739,7 +538,6 @@ mod properties {
             for (i, f) in flows.iter().enumerate() {
                 let saturated = g
                     .path(f.src, f.dst)
-                    .iter()
                     .any(|l| load[l.0] >= caps[l.0] * (1.0 - 1e-6));
                 prop_assert!(saturated, "flow {i} ({f:?}) has slack on every link of its path");
             }
@@ -763,7 +561,7 @@ mod properties {
             }
             for (i, f) in flows.iter().enumerate() {
                 if let Some(l) = a.bottleneck[i] {
-                    prop_assert!(g.path(f.src, f.dst).contains(&l),
+                    prop_assert!(g.path(f.src, f.dst).any(|p| p == l),
                         "flow {i}: bottleneck {} not on its path", g.link_name(l));
                     prop_assert!(load[l.0] >= caps[l.0] * (1.0 - 1e-6),
                         "flow {i}: bottleneck {} not saturated", g.link_name(l));

@@ -36,11 +36,13 @@ pub struct NetworkConfig {
     /// utilization — see DESIGN.md §6). Defaults to 1.0 (ideal fabric).
     pub efficiency: f64,
     /// Optional multi-hop fabric. When set, flows are routed over the
-    /// graph's fixed paths and rates come from the multi-constraint
-    /// allocator ([`crate::allocate_rates_on_graph`]); `bandwidth` no
-    /// longer bounds the ports (the graph's per-machine port capacities
-    /// do), though it still anchors the rate-noise floor. `None` (the
-    /// default) keeps the flat single-switch model.
+    /// graph's fixed paths, `bandwidth` no longer bounds the ports (the
+    /// graph's per-machine port capacities do, though `bandwidth` still
+    /// anchors the rate-noise floor), and completed flows name their
+    /// bottleneck link. `None` (the default) is the flat single-switch
+    /// fabric: the network builds the endpoint-only graph with
+    /// `bandwidth` on every port and keeps no per-link report. Either way
+    /// rates come from [`crate::allocate_rates_on_graph`].
     pub link_graph: Option<LinkGraph>,
 }
 

@@ -1,24 +1,21 @@
 //! The fluid network: flow lifecycle, exact completion events, utilization
 //! traces.
 //!
-//! The module splits along the fabric model: `config` holds the static
-//! cluster description, `flat` the flat single-switch rate computation,
-//! `multihop` the link-graph generalization plus per-link accounting.
-//! This file keeps the [`Network`] facade — flow lifecycle, snapshots,
-//! and the deterministic work counters ([`NetStats`]) — and dispatches
-//! rate recomputation to whichever fabric model the configuration
-//! selects.
+//! `config` holds the static cluster description. This file keeps the
+//! [`Network`] facade — flow lifecycle, rate recomputation, per-link
+//! accounting, snapshots, and the deterministic work counters
+//! ([`NetStats`]). Rates always come from the one link-graph allocator
+//! ([`crate::allocate_rates_on_graph`]): on the configured graph, or on a
+//! flat fabric on the endpoint-only graph built from the NIC bandwidth.
 
 mod config;
-mod flat;
-mod multihop;
 #[cfg(test)]
 mod tests;
 
 pub use config::NetworkConfig;
 
-use crate::allocator::{AllocWork, FlowSpec};
-use crate::multilink::LinkId;
+use crate::allocator::{allocate_rates_on_graph_with_work, AllocWork, FlowSpec};
+use crate::multilink::{LinkGraph, LinkId};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use p3_des::{SimDuration, SimTime};
@@ -54,7 +51,7 @@ struct ActiveFlow {
     bytes: u64,
     remaining: f64,
     rate: f64, // bytes/sec under the current allocation
-    /// Saturated link bounding the current rate (link-graph mode only).
+    /// Saturated link bounding the current rate (configured graph only).
     bottleneck: Option<LinkId>,
 }
 
@@ -70,8 +67,7 @@ struct Delivering {
 /// wall clock, no sampling — so two runs of the same configuration report
 /// identical stats, and a snapshot/resume pair reports the same totals as
 /// the uninterrupted run. The float arithmetic of the fluid model is
-/// untouched by the counting (pinned by the allocator bit-identity
-/// property tests).
+/// untouched by the counting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Rate recomputations (the flow set or port capacities changed).
@@ -81,8 +77,8 @@ pub struct NetStats {
     pub flows_touched: u64,
     /// Water-fill raise rounds summed over all reallocations.
     pub waterfill_rounds: u64,
-    /// Ports (flat fabric) or links (graph fabric) carrying at least one
-    /// active flow, summed over all water-fill rounds.
+    /// Links (on a flat fabric, the machines' tx and rx ports) carrying
+    /// at least one active flow, summed over all water-fill rounds.
     pub ports_touched: u64,
     /// Peak number of concurrently active NIC flows (loopback excluded).
     pub peak_in_flight: u64,
@@ -115,7 +111,17 @@ pub struct NetStats {
 /// ```
 #[derive(Debug)]
 pub struct Network {
+    /// The configuration, less its link graph, which moved to `graph`.
     cfg: NetworkConfig,
+    /// The graph rates are computed on: the configured one, or on a flat
+    /// fabric the endpoint-only graph with `cfg.bandwidth` on every port.
+    graph: LinkGraph,
+    /// True when the configuration supplied `graph`. Only then does the
+    /// fabric report bottlenecks and per-link usage.
+    routed: bool,
+    /// Working link capacities: the graph's, scaled by the protocol
+    /// efficiency and the port factors. Refreshed when a factor changes.
+    caps: Vec<f64>,
     flows: Vec<ActiveFlow>,
     delivering: Vec<Delivering>,
     last_update: SimTime,
@@ -131,11 +137,11 @@ pub struct Network {
     /// Event sink for wire-level spans; `None` (the default) records
     /// nothing and costs one branch per flow transition.
     tracer: Option<TraceHandle>,
-    /// Per-link busy time in seconds (link-graph mode only; indexed by
+    /// Per-link busy time in seconds (configured graph only; indexed by
     /// `LinkId`). A link is busy while any flow crossing it has a
     /// positive rate.
     link_busy: Vec<f64>,
-    /// Per-link bytes carried (link-graph mode only).
+    /// Per-link bytes carried (configured graph only).
     link_bytes: Vec<f64>,
     /// Deterministic work counters (see [`NetStats`]).
     stats: NetStats,
@@ -163,7 +169,7 @@ pub struct FlowSnapshot {
     pub remaining: f64,
     /// Current allocated rate in bytes/sec.
     pub rate: f64,
-    /// Saturated link bounding the rate (link-graph mode only).
+    /// Saturated link bounding the rate (configured graph only).
     pub bottleneck: Option<usize>,
 }
 
@@ -196,7 +202,7 @@ pub struct NetworkSnapshot {
     pub tx_scale: Vec<f64>,
     /// Per-machine receive capacity factors.
     pub rx_scale: Vec<f64>,
-    /// Per-link busy seconds (link-graph mode; empty otherwise).
+    /// Per-link busy seconds (configured graph only; empty otherwise).
     pub link_busy: Vec<f64>,
     /// Per-link bytes carried.
     pub link_bytes: Vec<f64>,
@@ -230,7 +236,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if `cfg.machines` is zero.
-    pub fn new(cfg: NetworkConfig) -> Self {
+    pub fn new(mut cfg: NetworkConfig) -> Self {
         assert!(cfg.machines > 0, "a cluster needs at least one machine");
         let (tx_traces, rx_traces) = match cfg.trace_bin {
             Some(bin) => (
@@ -240,12 +246,24 @@ impl Network {
             None => (Vec::new(), Vec::new()),
         };
         let machines = cfg.machines;
-        let num_links = multihop::num_links(&cfg.link_graph);
-        if let Some(g) = &cfg.link_graph {
-            assert_eq!(g.machines(), machines, "link graph machine count mismatch");
-        }
+        let routed = cfg.link_graph.is_some();
+        let graph = cfg
+            .link_graph
+            .take()
+            .unwrap_or_else(|| LinkGraph::new(&vec![cfg.bandwidth.bytes_per_sec(); machines]));
+        assert_eq!(
+            graph.machines(),
+            machines,
+            "link graph machine count mismatch"
+        );
+        let num_links = if routed { graph.num_links() } else { 0 };
+        let ones = vec![1.0; machines];
+        let caps = graph.scaled_caps(cfg.efficiency, &ones, &ones);
         Network {
             cfg,
+            graph,
+            routed,
+            caps,
             flows: Vec::new(),
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
@@ -253,8 +271,8 @@ impl Network {
             tx_traces,
             rx_traces,
             dirty: false,
-            tx_scale: vec![1.0; machines],
-            rx_scale: vec![1.0; machines],
+            tx_scale: ones.clone(),
+            rx_scale: ones,
             tracer: None,
             link_busy: vec![0.0; num_links],
             link_bytes: vec![0.0; num_links],
@@ -268,11 +286,6 @@ impl Network {
     /// Tracing is purely observational — it never changes flow timing.
     pub fn set_tracer(&mut self, tracer: TraceHandle) {
         self.tracer = Some(tracer);
-    }
-
-    /// The configuration this fabric was built from.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
     }
 
     /// Number of transfers currently using NIC bandwidth.
@@ -461,6 +474,7 @@ impl Network {
         self.advance(now);
         self.tx_scale[machine.0] = tx;
         self.rx_scale[machine.0] = rx;
+        self.rescale();
         self.dirty = true;
         self.reallocate();
     }
@@ -502,7 +516,19 @@ impl Network {
     /// entry per [`LinkId`]). Empty on the flat single-switch fabric.
     /// Busy time accrues up to the last `poll`/`start_flow` instant.
     pub fn link_usage(&self) -> Vec<LinkUsage> {
-        multihop::usage(self)
+        if !self.routed {
+            return Vec::new();
+        }
+        let g = &self.graph;
+        (0..g.num_links())
+            .map(|l| LinkUsage {
+                name: g.link_name(LinkId(l)),
+                capacity: g.link_cap(LinkId(l)),
+                busy_secs: self.link_busy[l],
+                bytes: self.link_bytes[l],
+                transit: g.is_transit(LinkId(l)),
+            })
+            .collect()
     }
 
     /// Captures the fabric's full dynamic state. Restoring it with
@@ -592,6 +618,7 @@ impl Network {
         self.next_flow_id = snap.next_flow_id;
         self.tx_scale = snap.tx_scale.clone();
         self.rx_scale = snap.rx_scale.clone();
+        self.rescale();
         self.link_busy = snap.link_busy.clone();
         self.link_bytes = snap.link_bytes.clone();
         self.stats = snap.stats;
@@ -615,7 +642,9 @@ impl Network {
             return;
         }
         let dt = (now - self.last_update).as_secs_f64();
-        multihop::account_advance(self, dt);
+        if self.routed {
+            self.account_links(dt);
+        }
         for f in &mut self.flows {
             if f.rate > 0.0 {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
@@ -628,8 +657,33 @@ impl Network {
         self.last_update = now;
     }
 
-    /// Recomputes the strict-priority max-min rates, dispatching to the
-    /// flat or multi-hop fabric model.
+    /// Accrues per-link occupancy (busy seconds and bytes carried) for the
+    /// elapsed interval `dt`, under the rates in force over that interval.
+    fn account_links(&mut self, dt: f64) {
+        let mut rate_sum = vec![0.0; self.graph.num_links()];
+        for f in &self.flows {
+            if f.rate > 0.0 {
+                for l in self.graph.path(f.src, f.dst) {
+                    rate_sum[l.0] += f.rate;
+                }
+            }
+        }
+        for (l, &r) in rate_sum.iter().enumerate() {
+            if r > 0.0 {
+                self.link_busy[l] += dt;
+                self.link_bytes[l] += r * dt;
+            }
+        }
+    }
+
+    /// Recomputes the working link capacities from the port factors.
+    fn rescale(&mut self) {
+        self.caps = self
+            .graph
+            .scaled_caps(self.cfg.efficiency, &self.tx_scale, &self.rx_scale);
+    }
+
+    /// Recomputes the strict-priority max-min rates.
     fn reallocate(&mut self) {
         if !self.dirty {
             return;
@@ -637,7 +691,6 @@ impl Network {
         self.dirty = false;
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         let specs: Vec<FlowSpec> = self
             .flows
             .iter()
@@ -648,19 +701,25 @@ impl Network {
             })
             .collect();
         let mut work = AllocWork::default();
-        let rates = if self.cfg.link_graph.is_some() {
-            multihop::rates(self, &specs, &mut work)
-        } else {
-            flat::rates(self, &specs, cap, &mut work)
-        };
+        let alloc = allocate_rates_on_graph_with_work(
+            &specs,
+            &self.graph,
+            &self.caps,
+            self.cfg.flow_cap,
+            &mut work,
+        );
         self.stats.waterfill_rounds += work.rounds;
         self.stats.ports_touched += work.port_touches;
         // A rate below one byte per simulated second is allocator noise; a
         // "running" flow at such a rate would never finish within any
         // realistic horizon and only destabilizes event times.
+        let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         let floor = (cap * 1e-12).max(1e-6);
-        for (f, r) in self.flows.iter_mut().zip(rates) {
+        for ((f, r), b) in self.flows.iter_mut().zip(alloc.rates).zip(alloc.bottleneck) {
             f.rate = if r < floor { 0.0 } else { r };
+            if self.routed {
+                f.bottleneck = b;
+            }
         }
     }
 }
