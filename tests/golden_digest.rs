@@ -1,5 +1,6 @@
 //! Golden-digest pins for the parameter-server path, on the flat fabric
-//! and on an oversubscribed multi-rack fabric.
+//! and on an oversubscribed multi-rack fabric, plus a ResNet-50 P3 run
+//! whose many live priority classes exercise the allocator's class loop.
 //!
 //! The engine decomposition (DESIGN.md §11) promised that splitting
 //! `ClusterSim` into layers would be behaviour-preserving: the PS path
@@ -32,6 +33,15 @@ const GOLDEN_EVENTS: u64 = 1639;
 /// message's bottleneck link, so this pins the link-graph allocator's
 /// path order and bottleneck scan, which the flat run never exercises.
 const GOLDEN_RACKS: (u64, u64, u64) = (0x15fd_42c2_8c6c_52ca, 0x408f_f682_bbca_e045, 1472);
+
+/// Event hash, throughput bits and event count of [`resnet_config`].
+/// TinyDet has few slices, so only a handful of priority classes are ever
+/// live in the allocator at once; ResNet-50 under P3 has one class per
+/// parameter slice, and on this slow fabric, with the default per-flow
+/// cap binding, each reallocation sees 11 classes on average and up to
+/// 18. Captured before the allocator moved to class-indexed filling
+/// (DESIGN.md §9).
+const GOLDEN_RESNET: (u64, u64, u64) = (0x6d62_a5b3_3180_2792, 0x405a_8000_0bb6_5b65, 8199);
 
 /// Same skewed three-block model as `tests/determinism.rs`: fast to run
 /// in debug builds, still exercises slicing, priorities, and stalls.
@@ -72,6 +82,19 @@ fn golden_config() -> ClusterConfig {
     .with_iters(1, 2)
     .with_seed(7)
     .with_slice_trace()
+}
+
+/// ResNet-50, P3, 4 machines on the flat fabric at 2 Gbps, no warmup and
+/// one measured iteration, default `flow_cap`.
+fn resnet_config() -> ClusterConfig {
+    ClusterConfig::new(
+        ModelSpec::resnet50(),
+        SyncStrategy::p3(),
+        4,
+        Bandwidth::from_gbps(2.0),
+    )
+    .with_iters(0, 1)
+    .with_seed(42)
 }
 
 fn racks_config() -> ClusterConfig {
@@ -123,5 +146,17 @@ fn racks_trace_digest_matches_golden() {
     assert_eq!(
         got, GOLDEN_RACKS,
         "multi-rack PS trace diverged from its golden digest (got {got:#018x?})",
+    );
+}
+
+#[test]
+fn resnet_p3_event_hash_matches_golden() {
+    let r = ClusterSim::new(resnet_config())
+        .try_run()
+        .expect("ResNet-50 golden config must run clean");
+    let got = (r.event_hash, r.throughput.to_bits(), r.events);
+    assert_eq!(
+        got, GOLDEN_RESNET,
+        "ResNet-50 P3 run diverged from its golden event hash (got {got:#018x?})",
     );
 }
