@@ -5,11 +5,15 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use p3_compress::Dgc;
 use p3_core::{p3_plan, PrioQueue, SyncStrategy};
-use p3_des::SplitMix64;
+use p3_des::{SimTime, SplitMix64};
 use p3_models::ModelSpec;
-use p3_net::{allocate_rates_on_graph, FlowSpec, LinkGraph, Priority};
+use p3_net::{
+    allocate_rates_on_graph, Bandwidth, FlowSpec, LinkGraph, MachineId, Network, NetworkConfig,
+    Priority,
+};
 use p3_pserver::{Key, KvServer, Message, OptimizerKind, WorkerId};
 use p3_tensor::{Matrix, Mlp};
+use p3_topo::Topology;
 
 fn bench_prio_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("prio_queue");
@@ -32,22 +36,27 @@ fn bench_prio_queue(c: &mut Criterion) {
     g.finish();
 }
 
+/// `n` loopback-free flows over `machines` machines in `classes` priority
+/// classes: each destination is drawn among the other machines.
+fn random_flows(rng: &mut SplitMix64, machines: usize, n: usize, classes: u64) -> Vec<FlowSpec> {
+    (0..n)
+        .map(|_| {
+            let src = rng.next_below(machines as u64) as usize;
+            let hop = 1 + rng.next_below(machines as u64 - 1) as usize;
+            FlowSpec {
+                src,
+                dst: (src + hop) % machines,
+                priority: Priority(rng.next_below(classes) as u32),
+            }
+        })
+        .collect()
+}
+
 fn bench_allocator(c: &mut Criterion) {
     let mut g = c.benchmark_group("rate_allocator");
     for machines in [4usize, 16] {
         let mut rng = SplitMix64::new(7);
-        // Loopback-free: the destination is drawn among the other machines.
-        let flows: Vec<FlowSpec> = (0..machines * 3)
-            .map(|_| {
-                let src = rng.next_below(machines as u64) as usize;
-                let hop = 1 + rng.next_below(machines as u64 - 1) as usize;
-                FlowSpec {
-                    src,
-                    dst: (src + hop) % machines,
-                    priority: Priority(rng.next_below(4) as u32),
-                }
-            })
-            .collect();
+        let flows = random_flows(&mut rng, machines, machines * 3, 4);
         // The flat fabric: an endpoint-only graph of 10 Gbps ports.
         let graph = LinkGraph::new(&vec![1.25e9; machines]);
         g.bench_with_input(
@@ -56,6 +65,31 @@ fn bench_allocator(c: &mut Criterion) {
             |b, flows| b.iter(|| allocate_rates_on_graph(flows, &graph, graph.caps(), 1.2e8)),
         );
     }
+    // Shaped like the ps-racks workload: 12 machines as 4 racks of 3
+    // behind 4:1 cores, ~250 flows in flight spread over many classes (P3
+    // gives every parameter slice its own), each crossing up to 4 links.
+    let mut rng = SplitMix64::new(11);
+    let flows = random_flows(&mut rng, 12, 250, 24);
+    let graph = Topology::new(4, 3, 4.0).compile(Bandwidth::from_gbps(10.0));
+    g.bench_with_input(
+        BenchmarkId::new("racked_many_classes", 12),
+        &flows,
+        |b, flows| b.iter(|| allocate_rates_on_graph(flows, &graph, graph.caps(), 1.2e8)),
+    );
+    // The same flows held by a `Network`, which keeps them class-indexed
+    // with cached routes and reuses its buffers: the per-reallocation
+    // cost the simulator pays. A no-op port rescale reallocates.
+    let cfg = NetworkConfig::new(12, Bandwidth::from_gbps(10.0))
+        .with_link_graph(graph)
+        .with_flow_cap(1.2e8);
+    let mut net = Network::new(cfg);
+    for (tag, f) in flows.iter().enumerate() {
+        let (src, dst) = (MachineId(f.src), MachineId(f.dst));
+        net.start_flow(SimTime::ZERO, src, dst, 1 << 30, f.priority, tag as u64);
+    }
+    g.bench_function("network_racked_many_classes/12", |b| {
+        b.iter(|| net.set_port_scale(SimTime::ZERO, MachineId(0), 1.0, 1.0))
+    });
     g.finish();
 }
 

@@ -249,7 +249,7 @@ pub(crate) fn parse_topology_flags(args: &Args) -> Result<(Option<Topology>, Pla
 
 /// Cluster size: derived from the topology when one is given, otherwise
 /// from `--machines` (defaulting to `default`). An explicit `--machines`
-/// that contradicts the topology is an error.
+/// of zero, or one that contradicts the topology, is an error.
 pub(crate) fn resolve_machines(
     args: &Args,
     topology: Option<&Topology>,
@@ -259,6 +259,9 @@ pub(crate) fn resolve_machines(
         None => None,
         Some(_) => Some(args.get_or("machines", default, "integer")?),
     };
+    if explicit == Some(0) {
+        return Err(bad_value("machines", "0", "positive integer"));
+    }
     match (topology, explicit) {
         (Some(t), Some(m)) if m != t.machines() => Err(CliError::Sim(format!(
             "--machines {m} conflicts with the topology ({}: {} machines)",
@@ -692,7 +695,7 @@ fn simulate(args: &Args) -> Result<String, CliError> {
 fn timeline(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
     let strategy = strategy_by_name(args.get("strategy").unwrap_or("p3"))?;
-    let machines: usize = args.get_or("machines", 2, "integer")?;
+    let machines = resolve_machines(args, None, 2)?;
     let gbps = gbps_value(args.get_or("gbps", 10.0, "number")?)?;
     let iters: u64 = args.get_or("iters", 1, "integer")?;
     let width: usize = args.get_or("width", 72, "integer")?;
@@ -897,7 +900,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
 
 fn allreduce(args: &Args) -> Result<String, CliError> {
     let model = model_by_name(args.require("model")?)?;
-    let machines: usize = args.get_or("machines", 4, "integer")?;
+    let machines = resolve_machines(args, None, 4)?;
     let gbps = gbps_value(args.get_or("gbps", 10.0, "number")?)?;
     let mut cfg = if args.switch("layerwise") {
         AllreduceConfig::layerwise_fifo(model, machines, Bandwidth::from_gbps(gbps))
@@ -1016,6 +1019,34 @@ mod tests {
             assert!(t.contains(m), "missing {m}");
         }
         assert!(t.contains("71.5%"), "VGG heaviest share missing:\n{t}");
+    }
+
+    #[test]
+    fn zero_machines_is_a_bad_value_on_every_command() {
+        let commands = [
+            "simulate --model resnet50 --iters 1",
+            "timeline --model resnet50",
+            "sweep --model resnet50 --measure 1",
+            "tune --models alexnet",
+            "allreduce --model resnet50",
+        ];
+        for cmd in commands {
+            let line = format!("{cmd} --machines 0");
+            match run(&line) {
+                Err(CliError::Args(ArgError::BadValue {
+                    flag,
+                    value,
+                    expected,
+                })) => {
+                    assert_eq!(
+                        (flag.as_str(), value.as_str(), expected),
+                        ("machines", "0", "positive integer"),
+                        "{line}"
+                    );
+                }
+                other => panic!("{line}: expected a --machines bad value, got {other:?}"),
+            }
+        }
     }
 
     #[test]

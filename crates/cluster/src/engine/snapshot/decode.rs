@@ -492,6 +492,8 @@ fn decode_net(
         let dst = r.usize()?;
         check(src < b.machines, "flow source out of range")?;
         check(dst < b.machines, "flow destination out of range")?;
+        // Loopback transfers never enter the fabric's flow table.
+        check(src != dst, "loopback flow in the fabric")?;
         let priority = r.u32()?;
         let tag = r.u64()?;
         let bytes = r.u64()?;

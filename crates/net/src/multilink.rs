@@ -19,23 +19,15 @@ impl std::fmt::Display for LinkId {
     }
 }
 
-/// One machine pair's route: the source's tx port, the transit hops, the
-/// destination's rx port.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Route<'g> {
-    tx: usize,
-    hops: &'g [LinkId],
-    rx: usize,
-}
-
-impl<'g> Route<'g> {
-    /// The route's link indices, in path order.
-    pub(crate) fn links(self) -> impl Iterator<Item = usize> + 'g {
-        let hops = self.hops.iter().map(|h| h.0);
-        std::iter::once(self.tx)
-            .chain(hops)
-            .chain(std::iter::once(self.rx))
-    }
+/// One machine pair's route, resolved once and detached from the graph:
+/// the source's tx port, the span of the pair's transit hops in the
+/// graph's hop table, and the destination's rx port. A flow caches it for
+/// its whole life; [`LinkGraph::links`] walks it in path order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route {
+    tx: u32,
+    rx: u32,
+    hops: (u32, u32),
 }
 
 /// A capacitated link graph with a fixed route per machine pair.
@@ -225,20 +217,65 @@ impl LinkGraph {
     /// # Panics
     ///
     /// Panics if either machine is out of range.
-    pub(crate) fn route(&self, src: usize, dst: usize) -> Route<'_> {
+    pub(crate) fn route(&self, src: usize, dst: usize) -> Route {
         assert!(
             src < self.machines && dst < self.machines,
             "unknown machine pair {src}->{dst}"
         );
-        let hops = match self.routes.get(src * self.machines + dst) {
-            Some(&(start, end)) => &self.hops[start..end],
-            None => &[],
-        };
+        let (start, end) = self
+            .routes
+            .get(src * self.machines + dst)
+            .copied()
+            .unwrap_or((0, 0));
+        // Link and hop-table indices fit in u32 by a wide margin: a graph
+        // holds a few links per machine.
         Route {
-            tx: src,
-            hops,
-            rx: self.machines + dst,
+            tx: src as u32,
+            rx: (self.machines + dst) as u32,
+            hops: (start as u32, end as u32),
         }
+    }
+
+    /// The transit hops of a route of this graph.
+    fn hops_of(&self, route: Route) -> &[LinkId] {
+        let (start, end) = (route.hops.0 as usize, route.hops.1 as usize);
+        // Endpoint-only routes, every route of a flat fabric, skip the
+        // table lookup.
+        if start == end {
+            return &[];
+        }
+        self.hops.get(start..end).unwrap_or(&[])
+    }
+
+    /// The link indices of a route of this graph, in path order: tx port,
+    /// transit hops, rx port.
+    pub(crate) fn links(&self, route: Route) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(route.tx as usize)
+            .chain(self.hops_of(route).iter().map(|h| h.0))
+            .chain(std::iter::once(route.rx as usize))
+    }
+
+    /// Calls `f` on every link of `route`, in path order: [`Self::links`]
+    /// unrolled for the allocator's inner loops.
+    pub(crate) fn for_each_link(&self, route: Route, mut f: impl FnMut(usize)) {
+        f(route.tx as usize);
+        self.hops_of(route).iter().for_each(|h| f(h.0));
+        f(route.rx as usize);
+    }
+
+    /// The first link of `route`, in path order, whose residual in `res`
+    /// is at most `thr`.
+    pub(crate) fn first_at_most(&self, route: Route, res: &[f64], thr: f64) -> Option<usize> {
+        let at_most = |l: usize| res.get(l).is_some_and(|&r| r <= thr);
+        let tx = route.tx as usize;
+        if at_most(tx) {
+            return Some(tx);
+        }
+        if let Some(h) = self.hops_of(route).iter().find(|h| at_most(h.0)) {
+            return Some(h.0);
+        }
+        let rx = route.rx as usize;
+        at_most(rx).then_some(rx)
     }
 
     /// The fixed route for `src -> dst`, endpoint ports included:
@@ -248,7 +285,7 @@ impl LinkGraph {
     ///
     /// Panics if either machine is out of range.
     pub fn path(&self, src: usize, dst: usize) -> impl Iterator<Item = LinkId> + '_ {
-        self.route(src, dst).links().map(LinkId)
+        self.links(self.route(src, dst)).map(LinkId)
     }
 
     /// Link capacities scaled by a protocol-efficiency factor and by

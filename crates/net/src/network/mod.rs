@@ -4,9 +4,12 @@
 //! `config` holds the static cluster description. This file keeps the
 //! [`Network`] facade — flow lifecycle, rate recomputation, per-link
 //! accounting, snapshots, and the deterministic work counters
-//! ([`NetStats`]). Rates always come from the one link-graph allocator
-//! ([`crate::allocate_rates_on_graph`]): on the configured graph, or on a
-//! flat fabric on the endpoint-only graph built from the NIC bandwidth.
+//! ([`NetStats`]). Rates always come from the one link-graph water-fill
+//! (the core of [`crate::allocate_rates_on_graph`]): on the configured
+//! graph, or on a flat fabric on the endpoint-only graph built from the
+//! NIC bandwidth. The fabric feeds it a class index of its flows with
+//! their routes cached, kept in step with the flow table, and reusable
+//! buffers (DESIGN.md §9).
 
 mod config;
 #[cfg(test)]
@@ -14,8 +17,8 @@ mod tests;
 
 pub use config::NetworkConfig;
 
-use crate::allocator::{allocate_rates_on_graph_with_work, AllocWork, FlowSpec};
-use crate::multilink::{LinkGraph, LinkId};
+use crate::allocator::{water_fill, AllocScratch, AllocWork, ClassEntry};
+use crate::multilink::{LinkGraph, LinkId, Route};
 use crate::trace::PortTrace;
 use crate::types::{FlowId, MachineId, Priority};
 use p3_des::{SimDuration, SimTime};
@@ -53,6 +56,8 @@ struct ActiveFlow {
     rate: f64, // bytes/sec under the current allocation
     /// Saturated link bounding the current rate (configured graph only).
     bottleneck: Option<LinkId>,
+    /// The flow's path, resolved once when it starts.
+    route: Route,
 }
 
 #[derive(Debug, Clone)]
@@ -123,6 +128,12 @@ pub struct Network {
     /// efficiency and the port factors. Refreshed when a factor changes.
     caps: Vec<f64>,
     flows: Vec<ActiveFlow>,
+    /// Class index: one entry per flow in `flows`, grouped by priority
+    /// class, most urgent first (within a class in no particular order;
+    /// see [`water_fill`]). Kept in step with every change to `flows`.
+    order: Vec<ClassEntry>,
+    /// The allocator's buffers, reused across reallocations.
+    scratch: AllocScratch,
     delivering: Vec<Delivering>,
     last_update: SimTime,
     next_flow_id: u64,
@@ -143,6 +154,8 @@ pub struct Network {
     link_busy: Vec<f64>,
     /// Per-link bytes carried (configured graph only).
     link_bytes: Vec<f64>,
+    /// Summed flow rate per link, rebuilt by each `account_links`.
+    link_rate: Vec<f64>,
     /// Deterministic work counters (see [`NetStats`]).
     stats: NetStats,
 }
@@ -265,6 +278,8 @@ impl Network {
             routed,
             caps,
             flows: Vec::new(),
+            order: Vec::new(),
+            scratch: AllocScratch::default(),
             delivering: Vec::new(),
             last_update: SimTime::ZERO,
             next_flow_id: 0,
@@ -276,6 +291,7 @@ impl Network {
             tracer: None,
             link_busy: vec![0.0; num_links],
             link_bytes: vec![0.0; num_links],
+            link_rate: vec![0.0; num_links],
             stats: NetStats::default(),
         }
     }
@@ -356,6 +372,7 @@ impl Network {
             return id;
         }
 
+        let route = self.graph.route(src.0, dst.0);
         self.flows.push(ActiveFlow {
             id,
             src: src.0,
@@ -366,7 +383,15 @@ impl Network {
             remaining: bytes as f64,
             rate: 0.0,
             bottleneck: None,
+            route,
         });
+        let at = self.order.partition_point(|e| e.priority <= priority);
+        let entry = ClassEntry {
+            flow: self.flows.len() - 1,
+            priority,
+            route,
+        };
+        self.order.insert(at, entry);
         // Flows only ever join here, so sampling at the push is exact.
         self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.flows.len() as u64);
         self.dirty = true;
@@ -407,7 +432,7 @@ impl Network {
             // Sub-nanosecond residue from ceil-rounding counts as drained.
             let eps = f.rate * 1e-9 + 1e-9;
             if f.remaining <= eps {
-                let f = self.flows.swap_remove(i);
+                let f = self.remove_flow(i);
                 self.delivering.push(Delivering {
                     at: now + latency,
                     flow: CompletedFlow {
@@ -490,7 +515,7 @@ impl Network {
     pub fn cancel_flow(&mut self, now: SimTime, id: FlowId) -> bool {
         self.advance(now);
         if let Some(i) = self.flows.iter().position(|f| f.id == id) {
-            self.flows.swap_remove(i);
+            self.remove_flow(i);
             self.dirty = true;
             self.reallocate();
             return true;
@@ -591,6 +616,7 @@ impl Network {
     pub fn restore_from(&mut self, snap: &NetworkSnapshot) {
         assert_eq!(snap.tx_scale.len(), self.cfg.machines, "snapshot mismatch");
         assert_eq!(snap.rx_scale.len(), self.cfg.machines, "snapshot mismatch");
+        let graph = &self.graph;
         self.flows = snap
             .flows
             .iter()
@@ -604,8 +630,20 @@ impl Network {
                 remaining: f.remaining,
                 rate: f.rate,
                 bottleneck: f.bottleneck.map(LinkId),
+                route: graph.route(f.src, f.dst),
             })
             .collect();
+        self.order = self
+            .flows
+            .iter()
+            .enumerate()
+            .map(|(flow, f)| ClassEntry {
+                flow,
+                priority: f.priority,
+                route: f.route,
+            })
+            .collect();
+        self.order.sort_by_key(|e| e.priority);
         self.delivering = snap
             .delivering
             .iter()
@@ -660,20 +698,41 @@ impl Network {
     /// Accrues per-link occupancy (busy seconds and bytes carried) for the
     /// elapsed interval `dt`, under the rates in force over that interval.
     fn account_links(&mut self, dt: f64) {
-        let mut rate_sum = vec![0.0; self.graph.num_links()];
+        let rate_sum = &mut self.link_rate;
+        rate_sum.fill(0.0);
         for f in &self.flows {
             if f.rate > 0.0 {
-                for l in self.graph.path(f.src, f.dst) {
-                    rate_sum[l.0] += f.rate;
+                for l in self.graph.links(f.route) {
+                    if let Some(r) = rate_sum.get_mut(l) {
+                        *r += f.rate;
+                    }
                 }
             }
         }
-        for (l, &r) in rate_sum.iter().enumerate() {
+        let links = self.link_busy.iter_mut().zip(&mut self.link_bytes);
+        for ((busy, bytes), &r) in links.zip(rate_sum.iter()) {
             if r > 0.0 {
-                self.link_busy[l] += dt;
-                self.link_bytes[l] += r * dt;
+                *busy += dt;
+                *bytes += r * dt;
             }
         }
+    }
+
+    /// Removes the flow in slot `i`, moving the last flow into the slot as
+    /// `Vec::swap_remove` does, and updates the class index to match.
+    fn remove_flow(&mut self, i: usize) -> ActiveFlow {
+        let f = self.flows.swap_remove(i);
+        let moved = self.flows.len();
+        self.order.retain_mut(|e| {
+            if e.flow == i {
+                return false;
+            }
+            if e.flow == moved {
+                e.flow = i;
+            }
+            true
+        });
+        f
     }
 
     /// Recomputes the working link capacities from the port factors.
@@ -691,21 +750,13 @@ impl Network {
         self.dirty = false;
         self.stats.reallocations += 1;
         self.stats.flows_touched += self.flows.len() as u64;
-        let specs: Vec<FlowSpec> = self
-            .flows
-            .iter()
-            .map(|f| FlowSpec {
-                src: f.src,
-                dst: f.dst,
-                priority: f.priority,
-            })
-            .collect();
         let mut work = AllocWork::default();
-        let alloc = allocate_rates_on_graph_with_work(
-            &specs,
+        water_fill(
+            &self.order,
             &self.graph,
             &self.caps,
             self.cfg.flow_cap,
+            &mut self.scratch,
             &mut work,
         );
         self.stats.waterfill_rounds += work.rounds;
@@ -715,7 +766,8 @@ impl Network {
         // realistic horizon and only destabilizes event times.
         let cap = self.cfg.bandwidth.bytes_per_sec() * self.cfg.efficiency;
         let floor = (cap * 1e-12).max(1e-6);
-        for ((f, r), b) in self.flows.iter_mut().zip(alloc.rates).zip(alloc.bottleneck) {
+        let alloc = self.scratch.rates.iter().zip(&self.scratch.bottleneck);
+        for (f, (&r, &b)) in self.flows.iter_mut().zip(alloc) {
             f.rate = if r < floor { 0.0 } else { r };
             if self.routed {
                 f.bottleneck = b;

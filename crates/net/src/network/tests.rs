@@ -460,7 +460,71 @@ fn stats_survive_snapshot_restore() {
 #[cfg(test)]
 mod properties {
     use super::*;
+    use crate::allocator::{tests::oracle, FlowSpec};
     use proptest::prelude::*;
+
+    /// Four 1 GB/s machines, flat or as two racks of two behind 1 GB/s core
+    /// links, with a per-flow cap that binds when a flow runs alone.
+    fn oracle_fabric(racked: bool) -> NetworkConfig {
+        let bw = Bandwidth::from_gbps(8.0);
+        let cfg = NetworkConfig::new(4, bw)
+            .with_latency(SimDuration::from_micros(5))
+            .with_flow_cap(4e8);
+        if !racked {
+            return cfg;
+        }
+        let mut g = LinkGraph::new(&[bw.bytes_per_sec(); 4]);
+        let ups = [g.add_link("rack0.up", 1e9), g.add_link("rack1.up", 1e9)];
+        let downs = [g.add_link("rack0.down", 1e9), g.add_link("rack1.down", 1e9)];
+        for src in 0..4 {
+            for dst in 0..4 {
+                if src / 2 != dst / 2 {
+                    g.set_transit(src, dst, &[ups[src / 2], downs[dst / 2]]);
+                }
+            }
+        }
+        cfg.with_link_graph(g)
+    }
+
+    /// Checks `n` against a fresh per-flow allocation of its current flows,
+    /// bit for bit, and checks that the class index holds each flow once, in
+    /// class order, with the flow's own class and route. Returns the
+    /// oracle's work.
+    fn assert_matches_oracle(n: &Network) -> AllocWork {
+        let specs: Vec<FlowSpec> = n
+            .flows
+            .iter()
+            .map(|f| FlowSpec {
+                src: f.src,
+                dst: f.dst,
+                priority: f.priority,
+            })
+            .collect();
+        let mut work = AllocWork::default();
+        let want = oracle::allocate(&specs, &n.graph, &n.caps, n.cfg.flow_cap, &mut work);
+        let floor = (n.cfg.bandwidth.bytes_per_sec() * n.cfg.efficiency * 1e-12).max(1e-6);
+        for (i, f) in n.flows.iter().enumerate() {
+            let r = want.rates[i];
+            let r = if r < floor { 0.0 } else { r };
+            assert_eq!(f.rate.to_bits(), r.to_bits(), "rate of flow {i}");
+            let b = if n.routed { want.bottleneck[i] } else { None };
+            assert_eq!(f.bottleneck, b, "bottleneck of flow {i}");
+        }
+        let mut slots: Vec<usize> = n.order.iter().map(|e| e.flow).collect();
+        slots.sort_unstable();
+        assert!(
+            slots.iter().copied().eq(0..n.flows.len()),
+            "class index {slots:?} does not hold each of {} flows once",
+            n.flows.len()
+        );
+        assert!(n.order.windows(2).all(|w| w[0].priority <= w[1].priority));
+        for e in &n.order {
+            let f = &n.flows[e.flow];
+            assert_eq!((e.priority, e.route), (f.priority, f.route));
+            assert_eq!(f.route, n.graph.route(f.src, f.dst));
+        }
+        work
+    }
 
     proptest! {
         /// Whatever the message mix, every byte handed to the fabric is
@@ -581,6 +645,66 @@ mod properties {
             let cap_bytes_per_bin = gbps * 1e9 / 8.0 * 100e-6;
             for &b in n.rx_trace(MachineId(0)).unwrap().bytes_per_bin() {
                 prop_assert!(b <= cap_bytes_per_bin * (1.0 + 1e-6));
+            }
+        }
+
+        /// Random flow lifecycles on a flat and a racked fabric: after
+        /// every start, poll, cancel, port rescale and snapshot/restore,
+        /// the rates, bottlenecks and allocator work equal the per-flow
+        /// oracle's, so the class index and the cached routes survive
+        /// `swap_remove` and restore.
+        #[test]
+        fn every_reallocation_matches_the_per_flow_oracle(
+            racked in 0u32..2,
+            ops in prop::collection::vec((0u64..12, any::<u64>()), 1..120),
+        ) {
+            let cfg = oracle_fabric(racked == 1);
+            let mut n = Network::new(cfg.clone());
+            let mut now = SimTime::ZERO;
+            let mut ids = Vec::new();
+            let scales = [1.0, 0.5, 0.25, 0.8];
+            for (op, x) in ops {
+                let before = n.stats();
+                let field = |shift: u32, n: u64| ((x >> shift) % n) as usize;
+                match op {
+                    0..=4 => {
+                        let bytes = 1 + (x >> 16) % 3_000_000;
+                        let (src, dst) = (MachineId(field(0, 4)), MachineId(field(8, 4)));
+                        let prio = Priority(field(40, 6) as u32);
+                        ids.push(n.start_flow(now, src, dst, bytes, prio, x));
+                    }
+                    5..=7 => {
+                        if let Some(t) = n.next_event_time() {
+                            now = t;
+                            n.poll(now);
+                        }
+                    }
+                    8 => {
+                        if !ids.is_empty() {
+                            let id = ids[field(0, ids.len() as u64)];
+                            n.cancel_flow(now, id);
+                        }
+                    }
+                    9 => {
+                        let (tx, rx) = (scales[field(8, 4)], scales[field(16, 4)]);
+                        n.set_port_scale(now, MachineId(field(0, 4)), tx, rx);
+                    }
+                    10 => {
+                        now += SimDuration::from_micros(x % 500);
+                        n.poll(now);
+                    }
+                    _ => {
+                        let snap = n.snapshot();
+                        n = Network::new(cfg.clone());
+                        n.restore_from(&snap);
+                    }
+                }
+                let work = assert_matches_oracle(&n);
+                let after = n.stats();
+                if after.reallocations == before.reallocations + 1 {
+                    prop_assert_eq!(after.waterfill_rounds - before.waterfill_rounds, work.rounds);
+                    prop_assert_eq!(after.ports_touched - before.ports_touched, work.port_touches);
+                }
             }
         }
     }
